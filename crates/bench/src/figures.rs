@@ -5,7 +5,7 @@
 //! *shapes* — who wins, trends over τ / |M| / k / h — are the target.
 
 use crate::time_avg;
-use crate::workload::{d7_workload, default_config, workload_for, DEFAULT_M};
+use crate::workload::{d7_workload, default_config, workload_for, QueryWorkload, DEFAULT_M};
 use std::fmt::Write as _;
 use uxm_assignment::murty::RankVariant;
 use uxm_assignment::partition::{murty_top_h_mappings, partition, partition_top_h_with};
@@ -13,6 +13,7 @@ use uxm_core::aggregate::AggFunc;
 use uxm_core::api::{EvaluatorHint, Query};
 use uxm_core::block_tree::{BlockTree, BlockTreeConfig};
 use uxm_core::compress::compression_ratio;
+use uxm_core::engine::QueryEngine;
 use uxm_core::json::Json;
 use uxm_core::mapping::PossibleMappings;
 use uxm_core::planner::Evaluator;
@@ -20,16 +21,6 @@ use uxm_core::stats::{avg_block_size, block_size_histogram, max_block_coverage, 
 use uxm_datagen::datasets::{Dataset, DatasetId};
 use uxm_datagen::queries::paper_queries;
 use uxm_twig::TwigPattern;
-// The one-shot timing experiments measure the paper's *legacy* per-call
-// paths (throwaway session per query) on purpose — that is exactly what
-// Fig 9(f)/10 plot. They are the only remaining consumers of the
-// deprecated shims outside the shim-coverage tests.
-#[allow(deprecated)]
-use uxm_core::ptq::ptq_basic;
-#[allow(deprecated)]
-use uxm_core::ptq_tree::ptq_with_tree;
-#[allow(deprecated)]
-use uxm_core::topk::topk_ptq;
 
 /// Shared knobs for the repro run.
 #[derive(Clone, Debug)]
@@ -205,17 +196,37 @@ pub fn fig9e(cfg: &ReproConfig) -> String {
     out
 }
 
+/// Seconds per `query` evaluation on a fresh engine over `w`'s mappings
+/// and document with block tree `tree`, averaged over `runs`. Each rep
+/// builds its engine outside the timer, so no session cache is warm —
+/// the paper's one-shot query.
+fn time_cold(runs: usize, w: &QueryWorkload, tree: &BlockTree, query: &Query) -> f64 {
+    assert!(runs > 0);
+    let mut total = std::time::Duration::ZERO;
+    for _ in 0..runs {
+        let engine = QueryEngine::new(w.mappings.clone(), w.doc.clone(), tree.clone());
+        let start = std::time::Instant::now();
+        std::hint::black_box(engine.run(query).expect("valid query").len());
+        total += start.elapsed();
+    }
+    total.as_secs_f64() / runs as f64
+}
+
+/// The paper query `q` pinned to `hint`.
+fn pinned(q: &TwigPattern, hint: EvaluatorHint) -> Query {
+    Query::ptq(q.clone()).with_evaluator(hint)
+}
+
 /// Fig 9(f) / Fig 10(a): per-query time, basic vs block-tree, plus the
 /// warm `QueryEngine` session (one session serving the repeated queries —
 /// the reproduction's service-layer extension).
-#[allow(deprecated)] // measures the legacy one-shot paths on purpose
 pub fn fig9f_10a(cfg: &ReproConfig, m: usize) -> String {
     let w = d7_workload(m, &default_config());
     let engine = w.engine();
     let queries = paper_queries();
     let engine_queries: Vec<Query> = queries
         .iter()
-        .map(|q| Query::ptq(q.clone()).with_evaluator(EvaluatorHint::BlockTree))
+        .map(|q| pinned(q, EvaluatorHint::BlockTree))
         .collect();
     let mut out = format!(
         "Fig {} — query time Tq (s), |M| = {m}\n  Q     basic  block-tree   speedup  engine(warm)\n",
@@ -225,12 +236,8 @@ pub fn fig9f_10a(cfg: &ReproConfig, m: usize) -> String {
     let mut total_tree = 0.0;
     let mut total_engine = 0.0;
     for (i, q) in queries.iter().enumerate() {
-        let tb = time_avg(cfg.runs, || {
-            std::hint::black_box(ptq_basic(q, &w.mappings, &w.doc).len());
-        });
-        let tt = time_avg(cfg.runs, || {
-            std::hint::black_box(ptq_with_tree(q, &w.mappings, &w.doc, &w.tree).len());
-        });
+        let tb = time_cold(cfg.runs, &w, &w.tree, &pinned(q, EvaluatorHint::Naive));
+        let tt = time_cold(cfg.runs, &w, &w.tree, &engine_queries[i]);
         // Warm the session caches, then time cache-served evaluation
         // through the unified entry point.
         std::hint::black_box(engine.run(&engine_queries[i]).expect("valid query").len());
@@ -262,10 +269,9 @@ pub fn fig9f_10a(cfg: &ReproConfig, m: usize) -> String {
 }
 
 /// Fig 10(b): Q10 time vs τ (block-tree algorithm).
-#[allow(deprecated)] // measures the legacy one-shot path on purpose
 pub fn fig10b(cfg: &ReproConfig) -> String {
     let w = d7_workload(cfg.m, &default_config());
-    let q10 = &paper_queries()[9];
+    let q10 = pinned(&paper_queries()[9], EvaluatorHint::BlockTree);
     let mut out = String::from("Fig 10(b) — Tq vs tau (D7, Q10, block-tree)\n  tau      Tq(s)\n");
     for tau in [0.02, 0.12, 0.22, 0.32, 0.42, 0.52, 0.65] {
         let tree = BlockTree::build(
@@ -276,45 +282,43 @@ pub fn fig10b(cfg: &ReproConfig) -> String {
                 ..default_config()
             },
         );
-        let tq = time_avg(cfg.runs, || {
-            std::hint::black_box(ptq_with_tree(q10, &w.mappings, &w.doc, &tree).len());
-        });
+        let tq = time_cold(cfg.runs, &w, &tree, &q10);
         let _ = writeln!(out, "{:>5.2} {:>10.4}", tau, tq);
     }
     out
 }
 
 /// Fig 10(c): Q10 time vs |M|, basic vs block-tree.
-#[allow(deprecated)] // measures the legacy one-shot paths on purpose
 pub fn fig10c(cfg: &ReproConfig) -> String {
     let q10 = &paper_queries()[9];
+    let (basic, tree) = (
+        pinned(q10, EvaluatorHint::Naive),
+        pinned(q10, EvaluatorHint::BlockTree),
+    );
     let mut out = String::from("Fig 10(c) — Tq vs |M| (D7, Q10)\n   |M|    basic  block-tree\n");
     for m in [30, 50, 70, 100, 140, 200] {
         let w = d7_workload(m, &default_config());
-        let tb = time_avg(cfg.runs, || {
-            std::hint::black_box(ptq_basic(q10, &w.mappings, &w.doc).len());
-        });
-        let tt = time_avg(cfg.runs, || {
-            std::hint::black_box(ptq_with_tree(q10, &w.mappings, &w.doc, &w.tree).len());
-        });
+        let tb = time_cold(cfg.runs, &w, &w.tree, &basic);
+        let tt = time_cold(cfg.runs, &w, &w.tree, &tree);
         let _ = writeln!(out, "{:>6} {:>8.4} {:>10.4}", m, tb, tt);
     }
     out
 }
 
 /// Fig 10(d): top-k PTQ time vs k (D7, Q10).
-#[allow(deprecated)] // measures the legacy one-shot paths on purpose
 pub fn fig10d(cfg: &ReproConfig) -> String {
     let w = d7_workload(cfg.m, &default_config());
     let q10 = &paper_queries()[9];
-    let normal = time_avg(cfg.runs, || {
-        std::hint::black_box(ptq_with_tree(q10, &w.mappings, &w.doc, &w.tree).len());
-    });
+    let normal = time_cold(
+        cfg.runs,
+        &w,
+        &w.tree,
+        &pinned(q10, EvaluatorHint::BlockTree),
+    );
     let mut out = String::from("Fig 10(d) — top-k PTQ vs k (D7, Q10)\n    k     top-k    normal\n");
     for k in [10, 20, 30, 40, 50, 60, 70, 80, 90, 100] {
-        let tk = time_avg(cfg.runs, || {
-            std::hint::black_box(topk_ptq(q10, &w.mappings, &w.doc, &w.tree, k).len());
-        });
+        let topk = Query::topk(q10.clone(), k).with_evaluator(EvaluatorHint::BlockTree);
+        let tk = time_cold(cfg.runs, &w, &w.tree, &topk);
         let _ = writeln!(out, "{:>5} {:>9.4} {:>9.4}", k, tk, normal);
     }
     out

@@ -161,6 +161,32 @@ impl Bencher {
         self.samples
             .push(start.elapsed() / self.iters_per_sample as u32);
     }
+
+    /// Times `routine` on a fresh input from `setup` per iteration. Only
+    /// `routine` is timed: building and dropping the input are not.
+    pub fn iter_batched_ref<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(&mut I) -> O,
+    {
+        let mut timed = Duration::ZERO;
+        for _ in 0..self.iters_per_sample {
+            let mut input = setup();
+            let start = Instant::now();
+            std::hint::black_box(routine(&mut input));
+            timed += start.elapsed();
+        }
+        self.samples.push(timed / self.iters_per_sample as u32);
+    }
+}
+
+/// How many inputs `iter_batched_ref` prepares at once. Upstream uses
+/// it to trade memory for timer overhead; here every input is built
+/// right before its iteration.
+#[derive(Clone, Copy, Debug)]
+pub enum BatchSize {
+    /// Inputs too large to hold many at once.
+    LargeInput,
 }
 
 fn run_benchmark(name: &str, sample_size: usize, f: &mut dyn FnMut(&mut Bencher)) {

@@ -1,12 +1,7 @@
 //! The unified query API: one typed request/response surface from the
 //! CLI down to the engine.
 //!
-//! Historically this crate grew three parallel query surfaces — the
-//! legacy free functions (`ptq_basic`, `ptq_with_tree`, `topk_ptq`,
-//! `keyword_query`, the `path_ptq` node variants), six overlapping
-//! [`QueryEngine`](crate::engine::QueryEngine) methods, and the
-//! registry's request enum — each with its own options handling and its
-//! own error type. This module replaces all of them with:
+//! It consists of:
 //!
 //! * a typed [`Query`] AST ([`Query::Ptq`], [`Query::PtqNodes`],
 //!   [`Query::TopK`], [`Query::Keyword`], [`Query::Aggregate`]), each

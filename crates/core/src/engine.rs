@@ -1,11 +1,10 @@
 //! The query-session layer: [`QueryEngine`].
 //!
-//! Every query entry point in this crate ([`crate::ptq`],
-//! [`crate::ptq_tree`], [`crate::topk`], [`crate::path_ptq`],
-//! [`crate::keyword`]) evaluates through this module. A [`QueryEngine`]
-//! owns one session's data — `(source schema, target schema,
-//! PossibleMappings, BlockTree, Document)` — plus derived state built once
-//! per session instead of once per query:
+//! Every query evaluates through this module's one entry point,
+//! [`QueryEngine::run`]. A [`QueryEngine`] owns one session's data —
+//! `(source schema, target schema, PossibleMappings, BlockTree,
+//! Document)` — plus derived state built once per session instead of once
+//! per query:
 //!
 //! * a [`SymbolTable`] interning every label of both schemas and the
 //!   document, so rewriting and filtering compare dense `u32` symbols,
@@ -17,17 +16,16 @@
 //!   mapping cache keyed by query, which make repeated-query workloads
 //!   (the service scenario) skip rewriting entirely.
 //!
-//! The legacy free functions remain as thin wrappers that build a
-//! throwaway session state, so their results — and the engine's — are
-//! identical by construction; the equivalence is additionally pinned by
-//! `tests/engine_equivalence.rs`.
+//! Every evaluator — Algorithm 3, Algorithm 4 and the compiled backend
+//! — returns the same answers for the same query; the equivalence is
+//! pinned by `tests/engine_equivalence.rs`.
 //!
 //! With the `parallel` feature, independent per-mapping / per-c-block /
 //! per-rewrite-group evaluations run on scoped threads (see the
 //! crate-internal `par_run`).
 
 use crate::aggregate::{self, AggFunc, AggRow, AggregateResult};
-use crate::api::{ExecStats, Query, QueryResponse};
+use crate::api::{EvaluatorHint, ExecStats, Query, QueryResponse};
 use crate::block_tree::{BlockTree, BlockTreeConfig};
 use crate::error::UxmError;
 use crate::exec::{self, Explain, ProgramCache, ProgramCacheStats, SetMode};
@@ -157,8 +155,7 @@ impl MappingBits {
 }
 
 /// Per-symbol relevance bitsets over the mapping set, stored flat — one
-/// allocation for all symbols, which keeps throwaway session construction
-/// (the legacy free-function path) cheap.
+/// allocation for all symbols, which keeps session construction cheap.
 struct RelevanceIndex {
     words_per_sym: usize,
     words: Vec<u64>,
@@ -285,8 +282,7 @@ type SymbolSets = Arc<Vec<Vec<Symbol>>>;
 type NodeSets = Arc<Vec<Vec<SchemaNodeId>>>;
 
 /// Everything derivable from `(PossibleMappings, Document)` that query
-/// evaluation wants precomputed. Built once per [`QueryEngine`]; the
-/// legacy free functions build a throwaway one per call.
+/// evaluation wants precomputed. Built once per [`QueryEngine`].
 pub(crate) struct SessionState {
     symbols: SymbolTable,
     /// Per source schema node: its label's symbol.
@@ -661,7 +657,7 @@ impl SessionState {
 // label-granularity evaluation (Algorithms 3 and 4)
 
 /// Algorithm 3 over a pre-filtered mapping subset.
-pub(crate) fn eval_basic_over(
+fn eval_basic_over(
     q: &TwigPattern,
     pm: &PossibleMappings,
     doc: &Document,
@@ -694,8 +690,21 @@ pub(crate) fn eval_basic_over(
     PtqResult { answers }
 }
 
-/// Algorithm 4 over a pre-filtered mapping subset.
-pub(crate) fn eval_tree_over(
+/// Algorithm 4 (paper §IV-B) over a pre-filtered mapping subset.
+///
+/// The evaluator looks up the query root in the block-tree index. On a
+/// hit, each c-block anchored there is evaluated *once* — the block's
+/// correspondence set acts as a mini-mapping — and the result is
+/// replicated to every mapping sharing the block (`query_subtree`). On a
+/// miss, the query splits into a root-only query plus one subquery per
+/// child; the subqueries recurse and the per-mapping results are
+/// recombined with the stack-based structural join.
+///
+/// One refinement over the paper's sketch: a block at anchor `t` is only
+/// a safe shortcut when every label the (sub)query uses occurs
+/// *exclusively* inside `t`'s subtree (see [`anchor_for`]), so the
+/// result always agrees exactly with Algorithm 3.
+fn eval_tree_over(
     q: &TwigPattern,
     pm: &PossibleMappings,
     doc: &Document,
@@ -1024,7 +1033,7 @@ pub(crate) fn node_sets_to_matches(
 }
 
 /// Node-granularity `query_basic`.
-pub(crate) fn eval_basic_nodes(
+fn eval_basic_nodes(
     q: &TwigPattern,
     pm: &PossibleMappings,
     doc: &Document,
@@ -1055,7 +1064,7 @@ pub(crate) fn eval_basic_nodes(
 /// Node-granularity PTQ with the block tree: blocks anchored at target
 /// nodes answer once per block; everything else shares work across
 /// mappings whose node-rewrites agree.
-pub(crate) fn eval_tree_nodes(
+fn eval_tree_nodes(
     q: &TwigPattern,
     pm: &PossibleMappings,
     doc: &Document,
@@ -1124,8 +1133,11 @@ pub(crate) fn eval_tree_nodes(
 // keyword evaluation
 
 /// Keyword query over every possible mapping (SLCA semantics); mappings
-/// whose rewrites agree share one evaluation.
-pub(crate) fn eval_keyword(
+/// whose rewrites agree share one evaluation. A mapping is irrelevant
+/// (skipped) when some vocabulary keyword has no correspondence under
+/// it; value keywords (terms matching no target label) never filter
+/// mappings.
+fn eval_keyword(
     keywords: &[&str],
     pm: &PossibleMappings,
     doc: &Document,
@@ -1464,7 +1476,6 @@ impl QueryEngine {
             min_rewrite_postings: postings.0,
             total_rewrite_postings: postings.1,
             value_predicates: q.ids().map(|id| q.node(id).preds.len()).sum(),
-            wildcard_nodes: q.ids().filter(|&id| q.node(id).is_wildcard()).count(),
             pred_selectivity: planner::estimate_selectivity(q),
             cache_warm,
         }
@@ -1493,10 +1504,10 @@ impl QueryEngine {
         (if min == usize::MAX { 0 } else { min }, total)
     }
 
-    /// The k most-probable relevant mappings for `q` (ties by id), in
-    /// evaluation order.
-    fn topk_ids(&self, q: &TwigPattern, qstr: &str, k: usize) -> Vec<MappingId> {
-        let mut ids = self.state.relevant(q, qstr).to_vec();
+    /// The k most-probable of the relevant mappings `relevant` (ties by
+    /// id), in evaluation order.
+    fn topk_ids(&self, relevant: &[MappingId], k: usize) -> Vec<MappingId> {
+        let mut ids = relevant.to_vec();
         ids.sort_by(|&a, &b| {
             self.pm
                 .mapping(b)
@@ -1589,18 +1600,34 @@ impl QueryEngine {
         mode: SetMode,
         k: Option<usize>,
         agg: Option<AggFunc>,
-        hint: crate::api::EvaluatorHint,
+        hint: EvaluatorHint,
     ) -> Explain {
-        let qstr = q.to_string();
-        let warm = self.state.relevant_cached(&qstr);
-        let relevant = self.state.relevant(q, &qstr).len();
-        let relevant = k.map_or(relevant, |k| relevant.min(k));
-        let stats = self.planner_stats(q, relevant, warm);
-        let plan = exec::apply_env(hint, planner::choose(hint, &stats));
+        let planned = self.plan(q, k, hint);
         Explain {
-            plan,
-            planner: Some(stats),
+            plan: planned.plan,
+            planner: Some(planned.stats),
             program: Some(Arc::new(exec::compile(q, mode, k, agg, &self.state))),
+        }
+    }
+
+    /// The front half every PTQ-shaped query shares: the canonical
+    /// pattern string, the relevant mappings (for top-k, the `k` most
+    /// probable of them), and the plan chosen from the planner
+    /// statistics.
+    fn plan(&self, q: &TwigPattern, k: Option<usize>, hint: EvaluatorHint) -> Planned {
+        let qstr = q.to_string();
+        // Read warmth before the lookup below fills the cache.
+        let warm = self.state.relevant_cached(&qstr);
+        let mut ids = self.state.relevant(q, &qstr);
+        if let Some(k) = k {
+            ids = Arc::new(self.topk_ids(&ids, k));
+        }
+        let stats = self.planner_stats(q, ids.len(), warm);
+        Planned {
+            plan: planner::choose(hint, &stats),
+            stats,
+            ids,
+            qstr,
         }
     }
 
@@ -1621,46 +1648,27 @@ impl QueryEngine {
         let options = *query.options();
         let mut aggregate = None;
         // `program` is `Some(cache_hit)` when the compiled backend ran.
-        let (answers, plan, relevant, backend, program) = match query {
+        let (answers, plan, relevant, program) = match query {
             Query::Ptq { pattern, .. } => {
-                let qstr = pattern.to_string();
-                let warm = self.state.relevant_cached(&qstr);
-                let ids = self.state.relevant(pattern, &qstr);
-                let plan = exec::apply_env(
-                    options.evaluator,
-                    planner::choose(
-                        options.evaluator,
-                        &self.planner_stats(pattern, ids.len(), warm),
-                    ),
-                );
-                let (res, program) = match plan.evaluator {
+                let p = self.plan(pattern, None, options.evaluator);
+                let (res, program) = match p.plan.evaluator {
                     Evaluator::Compiled => {
                         let (res, _, hit) =
-                            self.eval_compiled(pattern, &qstr, SetMode::Symbols, None, None);
+                            self.eval_compiled(pattern, &p.qstr, SetMode::Symbols, None, None);
                         (res, Some(hit))
                     }
-                    ev => (self.eval_label(pattern, &ids, ev), None),
+                    ev => (self.eval_label(pattern, &p.ids, ev), None),
                 };
                 (
                     crate::api::shape_ptq_answers(res.answers, &options),
-                    plan,
-                    ids.len(),
-                    plan.evaluator,
+                    p.plan,
+                    p.ids.len(),
                     program,
                 )
             }
             Query::PtqNodes { pattern, .. } => {
-                let qstr = pattern.to_string();
-                let warm = self.state.relevant_cached(&qstr);
-                let relevant = self.state.relevant(pattern, &qstr).len();
-                let plan = exec::apply_env(
-                    options.evaluator,
-                    planner::choose(
-                        options.evaluator,
-                        &self.planner_stats(pattern, relevant, warm),
-                    ),
-                );
-                let (res, program) = match plan.evaluator {
+                let p = self.plan(pattern, None, options.evaluator);
+                let (res, program) = match p.plan.evaluator {
                     Evaluator::Naive => (
                         eval_basic_nodes(
                             pattern,
@@ -1684,36 +1692,26 @@ impl QueryEngine {
                     ),
                     Evaluator::Compiled => {
                         let (res, _, hit) =
-                            self.eval_compiled(pattern, &qstr, SetMode::SchemaNodes, None, None);
+                            self.eval_compiled(pattern, &p.qstr, SetMode::SchemaNodes, None, None);
                         (res, Some(hit))
                     }
                 };
                 (
                     crate::api::shape_ptq_answers(res.answers, &options),
-                    plan,
-                    relevant,
-                    plan.evaluator,
+                    p.plan,
+                    p.ids.len(),
                     program,
                 )
             }
             Query::TopK { pattern, k, .. } => {
-                let qstr = pattern.to_string();
-                let warm = self.state.relevant_cached(&qstr);
-                let ids = self.topk_ids(pattern, &qstr, *k);
-                let plan = exec::apply_env(
-                    options.evaluator,
-                    planner::choose(
-                        options.evaluator,
-                        &self.planner_stats(pattern, ids.len(), warm),
-                    ),
-                );
-                let (mut res, program) = match plan.evaluator {
+                let p = self.plan(pattern, Some(*k), options.evaluator);
+                let (mut res, program) = match p.plan.evaluator {
                     Evaluator::Compiled => {
                         let (res, _, hit) =
-                            self.eval_compiled(pattern, &qstr, SetMode::Symbols, Some(*k), None);
+                            self.eval_compiled(pattern, &p.qstr, SetMode::Symbols, Some(*k), None);
                         (res, Some(hit))
                     }
-                    ev => (self.eval_label(pattern, &ids, ev), None),
+                    ev => (self.eval_label(pattern, &p.ids, ev), None),
                 };
                 res.answers.sort_by(|a, b| {
                     b.probability
@@ -1722,35 +1720,30 @@ impl QueryEngine {
                 });
                 (
                     crate::api::shape_ptq_answers(res.answers, &options),
-                    plan,
-                    ids.len(),
-                    plan.evaluator,
+                    p.plan,
+                    p.ids.len(),
                     program,
                 )
             }
             Query::Aggregate { pattern, func, .. } => {
-                let qstr = pattern.to_string();
-                let warm = self.state.relevant_cached(&qstr);
-                let ids = self.state.relevant(pattern, &qstr);
-                let plan = exec::apply_env(
-                    options.evaluator,
-                    planner::choose(
-                        options.evaluator,
-                        &self.planner_stats(pattern, ids.len(), warm),
-                    ),
-                );
+                let p = self.plan(pattern, None, options.evaluator);
                 // Per-mapping rows are folded from the *unfiltered* match
                 // sets (each row's value is independent of which other
                 // rows survive), so the min-probability option can prune
                 // rows after the fold without changing any surviving one.
-                let (mut rows, program) = match plan.evaluator {
+                let (mut rows, program) = match p.plan.evaluator {
                     Evaluator::Compiled => {
-                        let (_, rows, hit) =
-                            self.eval_compiled(pattern, &qstr, SetMode::Symbols, None, Some(*func));
+                        let (_, rows, hit) = self.eval_compiled(
+                            pattern,
+                            &p.qstr,
+                            SetMode::Symbols,
+                            None,
+                            Some(*func),
+                        );
                         (rows.unwrap_or_default(), Some(hit))
                     }
                     ev => {
-                        let res = self.eval_label(pattern, &ids, ev);
+                        let res = self.eval_label(pattern, &p.ids, ev);
                         let shaped = crate::api::shape_ptq_answers(
                             res.answers,
                             &crate::api::QueryOptions::default(),
@@ -1762,7 +1755,7 @@ impl QueryEngine {
                     rows.retain(|r| r.probability >= options.min_probability);
                 }
                 aggregate = Some(AggregateResult::new(*func, rows));
-                (Vec::new(), plan, ids.len(), plan.evaluator, program)
+                (Vec::new(), p.plan, p.ids.len(), program)
             }
             Query::Keyword { terms, .. } => {
                 let refs: Vec<&str> = terms.iter().map(String::as_str).collect();
@@ -1772,7 +1765,6 @@ impl QueryEngine {
                     crate::api::shape_keyword_answers(raw, &options),
                     Plan::only(Evaluator::Naive),
                     relevant,
-                    Evaluator::Naive,
                     None,
                 )
             }
@@ -1783,7 +1775,7 @@ impl QueryEngine {
             aggregate,
             stats: ExecStats {
                 plan,
-                backend,
+                backend: plan.evaluator,
                 relevant,
                 program_cache_hits: u64::from(program == Some(true)),
                 program_cache_misses: u64::from(program == Some(false)),
@@ -1793,99 +1785,64 @@ impl QueryEngine {
             },
         })
     }
+}
 
-    /// Algorithm 3 (`query_basic`) — identical to the legacy
-    /// `ptq_basic` free function.
-    ///
-    /// Use instead: [`QueryEngine::run`](crate::engine::QueryEngine::run) with
-    /// [`Query::ptq`](crate::api::Query::ptq) pinned to
-    /// [`EvaluatorHint::Naive`](crate::api::EvaluatorHint::Naive).
-    #[deprecated(note = "build an api::Query (evaluator hint Naive) and call QueryEngine::run")]
-    pub fn ptq(&self, q: &TwigPattern) -> PtqResult {
-        let ids = self.state.relevant(q, &q.to_string());
-        eval_basic_over(q, &self.pm, &self.doc, &self.state, &ids)
+/// What [`QueryEngine::plan`] decided for one PTQ-shaped query.
+struct Planned {
+    qstr: String,
+    ids: Arc<Vec<MappingId>>,
+    stats: PlannerStats,
+    plan: Plan,
+}
+
+/// Helpers the crate's unit tests share.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+
+    /// Runs `query` pinned to `hint`, checks that a second, cache-warm
+    /// run answers identically, and returns the answers as the
+    /// per-mapping result they were shaped from.
+    pub(crate) fn pinned(engine: &QueryEngine, query: Query, hint: EvaluatorHint) -> PtqResult {
+        let query = query.with_evaluator(hint);
+        let cold = engine.run(&query).unwrap().answers;
+        assert_eq!(engine.run(&query).unwrap().answers, cold, "warm {query}");
+        let answers = cold
+            .into_iter()
+            .map(|a| {
+                assert_eq!(a.mappings.len(), 1, "mapping granularity");
+                PtqAnswer {
+                    mapping: a.mappings[0],
+                    probability: a.probability,
+                    matches: a.matches,
+                }
+            })
+            .collect();
+        PtqResult { answers }
     }
 
-    /// Algorithm 4 — identical to the legacy `ptq_with_tree` free
-    /// function.
-    ///
-    /// Use instead: [`QueryEngine::run`](crate::engine::QueryEngine::run) with
-    /// [`Query::ptq`](crate::api::Query::ptq) pinned to
-    /// [`EvaluatorHint::BlockTree`](crate::api::EvaluatorHint::BlockTree).
-    #[deprecated(note = "build an api::Query (evaluator hint BlockTree) and call QueryEngine::run")]
-    pub fn ptq_with_tree(&self, q: &TwigPattern) -> PtqResult {
-        let ids = self.state.relevant(q, &q.to_string());
-        eval_tree_over(q, &self.pm, &self.doc, &self.tree, &self.state, &ids)
-    }
-
-    /// Top-k PTQ — identical to the legacy `topk_ptq` free function.
-    ///
-    /// Use instead: [`QueryEngine::run`](crate::engine::QueryEngine::run) with
-    /// [`Query::topk`](crate::api::Query::topk).
-    #[deprecated(note = "build an api::Query::topk and call QueryEngine::run")]
-    pub fn topk(&self, q: &TwigPattern, k: usize) -> PtqResult {
-        let qstr = q.to_string();
-        let ids = self.topk_ids(q, &qstr, k);
-        let mut res = eval_tree_over(q, &self.pm, &self.doc, &self.tree, &self.state, &ids);
-        res.answers.sort_by(|a, b| {
-            b.probability
-                .total_cmp(&a.probability)
-                .then(a.mapping.cmp(&b.mapping))
-        });
-        res
-    }
-
-    /// Node-granularity `query_basic` — identical to the legacy
-    /// `ptq_basic_nodes` free function.
-    ///
-    /// Use instead: [`QueryEngine::run`](crate::engine::QueryEngine::run) with
-    /// [`Query::ptq_nodes`](crate::api::Query::ptq_nodes) pinned to
-    /// [`EvaluatorHint::Naive`](crate::api::EvaluatorHint::Naive).
-    #[deprecated(note = "build an api::Query::ptq_nodes (hint Naive) and call QueryEngine::run")]
-    pub fn ptq_nodes(&self, q: &TwigPattern) -> PtqResult {
-        eval_basic_nodes(q, &self.pm, &self.doc, self.path_index(), &self.state)
-    }
-
-    /// Node-granularity block-tree PTQ — identical to the legacy
-    /// `ptq_with_tree_nodes` free function.
-    ///
-    /// Use instead: [`QueryEngine::run`](crate::engine::QueryEngine::run) with
-    /// [`Query::ptq_nodes`](crate::api::Query::ptq_nodes) pinned to
-    /// [`EvaluatorHint::BlockTree`](crate::api::EvaluatorHint::BlockTree).
-    #[deprecated(
-        note = "build an api::Query::ptq_nodes (hint BlockTree) and call QueryEngine::run"
-    )]
-    pub fn ptq_with_tree_nodes(&self, q: &TwigPattern) -> PtqResult {
-        eval_tree_nodes(
-            q,
-            &self.pm,
-            &self.doc,
-            self.path_index(),
-            &self.tree,
-            &self.state,
-        )
-    }
-
-    /// Keyword query (SLCA semantics) — identical to the legacy
-    /// `keyword_query` free function.
-    ///
-    /// Use instead: [`QueryEngine::run`](crate::engine::QueryEngine::run) with
-    /// [`Query::keyword`](crate::api::Query::keyword).
-    #[deprecated(note = "build an api::Query::keyword and call QueryEngine::run")]
-    pub fn keyword(&self, keywords: &[&str]) -> Result<Vec<KeywordAnswer>, KeywordError> {
-        eval_keyword(keywords, &self.pm, &self.doc, &self.state)
+    /// Algorithm 3 (the `Naive` pin) on a fresh engine over `pm` and
+    /// `doc`.
+    pub(crate) fn ptq_basic(q: &TwigPattern, pm: &PossibleMappings, doc: &Document) -> PtqResult {
+        let engine = QueryEngine::build(pm.clone(), doc.clone(), &BlockTreeConfig::default());
+        pinned(&engine, Query::ptq(q.clone()), EvaluatorHint::Naive)
     }
 }
 
 #[cfg(test)]
-// The legacy methods stay under test until they are removed: this module
-// is part of the shim coverage the deprecation gate exempts.
-#[allow(deprecated)]
 mod tests {
+    use super::testing::pinned;
     use super::*;
-    use crate::api::{EvaluatorHint, Granularity};
+    use crate::api::Granularity;
     use uxm_matching::Matcher;
     use uxm_xml::DocGenConfig;
+
+    const HINTS: [EvaluatorHint; 4] = [
+        EvaluatorHint::Auto,
+        EvaluatorHint::Naive,
+        EvaluatorHint::BlockTree,
+        EvaluatorHint::Compiled,
+    ];
 
     fn engine() -> QueryEngine {
         let source = Schema::parse_outline(
@@ -1904,9 +1861,11 @@ mod tests {
         QueryEngine::build(pm, doc, &BlockTreeConfig::default())
     }
 
+    /// A fresh engine per query (nothing cached) answers exactly like
+    /// one long-lived engine, under every hint and query kind.
     #[test]
-    fn engine_matches_legacy_free_functions() {
-        let e = engine();
+    fn fresh_engine_matches_warm_engine_under_every_hint() {
+        let warm = engine();
         for qs in [
             "PO/Line/Qty",
             "//Line//No",
@@ -1915,21 +1874,25 @@ mod tests {
             "PO",
         ] {
             let q = TwigPattern::parse(qs).unwrap();
-            assert_eq!(
-                e.ptq(&q),
-                crate::ptq::ptq_basic(&q, e.mappings(), e.document()),
-                "ptq {qs}"
-            );
-            assert_eq!(
-                e.ptq_with_tree(&q),
-                crate::ptq_tree::ptq_with_tree(&q, e.mappings(), e.document(), e.tree()),
-                "ptq_with_tree {qs}"
-            );
-            assert_eq!(
-                e.topk(&q, 5),
-                crate::topk::topk_ptq(&q, e.mappings(), e.document(), e.tree(), 5),
-                "topk {qs}"
-            );
+            let reference = pinned(&engine(), Query::ptq(q.clone()), EvaluatorHint::Naive);
+            for hint in HINTS {
+                for query in [
+                    Query::ptq(q.clone()),
+                    Query::topk(q.clone(), 5),
+                    Query::ptq_nodes(q.clone()),
+                ] {
+                    assert_eq!(
+                        pinned(&engine(), query.clone(), hint),
+                        pinned(&warm, query.clone(), hint),
+                        "{query} {hint:?}"
+                    );
+                }
+                assert_eq!(
+                    pinned(&warm, Query::ptq(q.clone()), hint),
+                    reference,
+                    "{qs} {hint:?}"
+                );
+            }
         }
     }
 
@@ -1956,11 +1919,12 @@ mod tests {
         );
         // Basic evaluation rewrites per mapping — every repeat must come
         // from the (query, mapping) cache.
-        let first = e.ptq(&q);
+        let basic = Query::ptq(q.clone()).with_evaluator(EvaluatorHint::Naive);
+        let first = e.run(&basic).unwrap();
         let cold = e.cache_stats();
-        let second = e.ptq(&q);
+        let second = e.run(&basic).unwrap();
         let warm = e.cache_stats();
-        assert_eq!(first, second);
+        assert_eq!(first.answers, second.answers);
         assert!(warm.rewrite_hits > cold.rewrite_hits, "rewrite cache used");
         assert!(
             warm.relevant_hits > cold.relevant_hits,
@@ -1971,7 +1935,7 @@ mod tests {
             "no recomputation on the second run"
         );
         // The tree path returns identical results before and after caching.
-        assert_eq!(e.ptq_with_tree(&q), e.ptq_with_tree(&q));
+        pinned(&e, Query::ptq(q), EvaluatorHint::BlockTree);
     }
 
     #[test]
@@ -1979,45 +1943,8 @@ mod tests {
         let e = engine();
         let q = TwigPattern::parse("PO//DoesNotExist").unwrap();
         assert!(e.relevant_mappings(&q).is_empty());
-        assert!(e.ptq(&q).is_empty());
-        assert!(e.ptq_with_tree(&q).is_empty());
-    }
-
-    #[test]
-    fn run_matches_legacy_methods_under_every_hint() {
-        let e = engine();
-        let hints = [
-            EvaluatorHint::Auto,
-            EvaluatorHint::Naive,
-            EvaluatorHint::BlockTree,
-        ];
-        for qs in ["PO/Line/Qty", "//Line//No", "//UnitPrice", "PO"] {
-            let q = TwigPattern::parse(qs).unwrap();
-            let legacy = e.ptq_with_tree(&q);
-            for hint in hints {
-                let resp = e.run(&Query::ptq(q.clone()).with_evaluator(hint)).unwrap();
-                assert_eq!(resp.len(), legacy.len(), "{qs} {hint:?}");
-                for (a, l) in resp.answers.iter().zip(legacy.iter()) {
-                    assert_eq!(a.mappings, vec![l.mapping], "{qs} {hint:?}");
-                    assert_eq!(a.matches, l.matches, "{qs} {hint:?}");
-                    assert_eq!(a.probability, l.probability, "{qs} {hint:?}");
-                }
-            }
-            // Top-k and node granularity agree with their legacy methods
-            // too.
-            let top = e.run(&Query::topk(q.clone(), 3)).unwrap();
-            let top_legacy = e.topk(&q, 3);
-            assert_eq!(top.len(), top_legacy.len(), "{qs} topk");
-            for (a, l) in top.answers.iter().zip(top_legacy.iter()) {
-                assert_eq!(
-                    (a.mappings.as_slice(), &a.matches),
-                    (&[l.mapping][..], &l.matches)
-                );
-            }
-            let nodes = e.run(&Query::ptq_nodes(q.clone())).unwrap();
-            let mut nodes_legacy = e.ptq_with_tree_nodes(&q);
-            nodes_legacy.normalize();
-            assert_eq!(nodes.len(), nodes_legacy.len(), "{qs} nodes");
+        for hint in HINTS {
+            assert!(pinned(&e, Query::ptq(q.clone()), hint).is_empty());
         }
     }
 
@@ -2065,15 +1992,16 @@ mod tests {
     }
 
     #[test]
-    fn run_keyword_matches_legacy_and_validates() {
+    fn run_keyword_matches_fresh_engine_and_validates() {
         let e = engine();
-        let resp = e.run(&Query::keyword(vec!["UnitPrice".into()])).unwrap();
-        let legacy = e.keyword(&["UnitPrice"]).unwrap();
-        assert_eq!(resp.len(), legacy.len());
-        for (a, l) in resp.answers.iter().zip(&legacy) {
-            assert_eq!(a.mappings, vec![l.mapping]);
-            let slcas: Vec<_> = a.matches.iter().map(|m| m.nodes[0]).collect();
-            assert_eq!(slcas, l.slcas);
+        let query = Query::keyword(vec!["UnitPrice".into()]);
+        let resp = e.run(&query).unwrap();
+        assert!(!resp.is_empty());
+        assert_eq!(e.run(&query).unwrap().answers, resp.answers, "warm run");
+        assert_eq!(engine().run(&query).unwrap().answers, resp.answers);
+        for a in &resp.answers {
+            assert_eq!(a.mappings.len(), 1);
+            assert!(a.matches.iter().all(|m| m.nodes.len() == 1), "SLCA nodes");
         }
         assert!(matches!(
             e.run(&Query::keyword(vec![])),

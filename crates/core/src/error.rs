@@ -1,12 +1,11 @@
 //! The crate-wide error type: [`UxmError`].
 //!
-//! Before the unified query API, each query surface failed with its own
-//! type — [`KeywordError`] from keyword evaluation, the registry's
-//! `RegistryError`, [`DecodeError`] from snapshot codecs, and
-//! [`TwigParseError`] from query parsing. [`UxmError`] absorbs all of
-//! them (via `From` impls, so `?` just works), giving every layer — CLI,
-//! registry batches, [`crate::engine::QueryEngine::run`] — one typed
-//! error surface.
+//! Each failure source has its own detail type — [`KeywordError`] from
+//! keyword evaluation, [`DecodeError`] from snapshot codecs,
+//! [`TwigParseError`] from query parsing and [`JsonError`] from the wire
+//! format. [`UxmError`] absorbs all of them (via `From` impls, so `?`
+//! just works), giving every layer — CLI, registry batches,
+//! [`crate::engine::QueryEngine::run`] — one typed error surface.
 
 use crate::json::JsonError;
 use crate::keyword::KeywordError;
@@ -16,12 +15,9 @@ use uxm_twig::TwigParseError;
 
 /// Any failure the query stack can report.
 ///
-/// The variants fold the legacy error types into one enum:
 /// `KeywordError`, `DecodeError`, and `TwigParseError` are wrapped; the
-/// old `RegistryError` variants (`UnknownEngine`, `InvalidName`,
-/// `NoSnapshotDir`, `Io`) are carried directly, so
-/// `uxm_core::registry::RegistryError` is now just a deprecated alias of
-/// this type.
+/// registry's own failures (`UnknownEngine`, `InvalidName`,
+/// `NoSnapshotDir`, `Io`) are carried directly.
 #[derive(Clone, Debug, PartialEq)]
 pub enum UxmError {
     /// A twig pattern failed to parse.

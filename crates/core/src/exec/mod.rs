@@ -1,8 +1,8 @@
 //! Compiled query execution: flat bytecode programs over the columnar
 //! arenas.
 //!
-//! The recursive evaluators ([`crate::ptq`], [`crate::ptq_tree`],
-//! [`crate::path_ptq`], [`crate::topk`]) re-interpret the query shape on
+//! The recursive evaluators (Algorithms 3 and 4 in [`crate::engine`],
+//! at label and node granularity) re-interpret the query shape on
 //! every evaluation — per-node dispatch, per-mapping rewrite calls, and
 //! tree walks through branchy logic. This module lowers a
 //! planner-annotated query **once** into a flat [`Program`] — a
@@ -81,58 +81,10 @@ pub(crate) use cache::ProgramCache;
 pub(crate) use compile::compile;
 pub(crate) use vm::EngineCtx;
 
-use crate::api::EvaluatorHint;
 use crate::json::Json;
-use crate::planner::{Evaluator, Plan, PlannerStats};
+use crate::planner::{Plan, PlannerStats};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
-
-/// The `UXM_EXEC` environment toggle, read once per process: `force`
-/// (or `on`) makes every *auto* plan run the compiled backend, `off`
-/// remaps auto compiled plans to the recursive naive evaluator. Pinned
-/// evaluator hints are always honored — the toggle is the differential
-/// harness's switch, not a policy override for explicit requests.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum ExecMode {
-    /// Follow the planner (unset or unrecognized value).
-    Planner,
-    /// Auto plans always execute compiled.
-    Force,
-    /// Auto plans never execute compiled.
-    Off,
-}
-
-pub(crate) fn exec_mode() -> ExecMode {
-    static MODE: OnceLock<ExecMode> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("UXM_EXEC").as_deref() {
-        Ok("force") | Ok("on") => ExecMode::Force,
-        Ok("off") => ExecMode::Off,
-        _ => ExecMode::Planner,
-    })
-}
-
-/// Applies the `UXM_EXEC` toggle to an auto plan (pinned hints pass
-/// through untouched). The plan *reason* is preserved: the toggle
-/// swaps the backend, it does not rewrite why the planner chose it.
-pub(crate) fn apply_env(hint: EvaluatorHint, plan: Plan) -> Plan {
-    if hint != EvaluatorHint::Auto {
-        return plan;
-    }
-    match exec_mode() {
-        ExecMode::Planner => plan,
-        ExecMode::Force => Plan {
-            evaluator: Evaluator::Compiled,
-            reason: plan.reason,
-        },
-        ExecMode::Off => match plan.evaluator {
-            Evaluator::Compiled => Plan {
-                evaluator: Evaluator::Naive,
-                reason: plan.reason,
-            },
-            _ => plan,
-        },
-    }
-}
+use std::sync::Arc;
 
 /// What `uxm explain` (and `explain: true` on `/query`) reports: the
 /// chosen plan, the planner's inputs, and the compiled program listing.
@@ -141,8 +93,9 @@ pub(crate) fn apply_env(hint: EvaluatorHint, plan: Plan) -> Plan {
 /// [`QueryEngine::explain`](crate::engine::QueryEngine::explain). For
 /// PTQ-shaped queries the program is always included — when the plan
 /// picks a recursive evaluator, it is the program a
-/// [`EvaluatorHint::Compiled`] pin would run. Keyword queries have a
-/// single evaluator and no compiled form.
+/// [`EvaluatorHint::Compiled`](crate::api::EvaluatorHint::Compiled) pin
+/// would run. Keyword queries have a single evaluator and no compiled
+/// form.
 #[derive(Clone, Debug)]
 pub struct Explain {
     /// The plan [`QueryEngine::run`](crate::engine::QueryEngine::run)
@@ -182,7 +135,6 @@ impl Explain {
                     "value_predicates".into(),
                     Json::uint(p.value_predicates as u64),
                 ),
-                ("wildcard_nodes".into(), Json::uint(p.wildcard_nodes as u64)),
             ]),
         };
         let program = match &self.program {
@@ -211,7 +163,7 @@ impl fmt::Display for Explain {
             writeln!(
                 f,
                 "planner: relevant={} blocks={} fanout={:.2} postings(min/total)={}/{} \
-                 warm={} preds={} sel={:.2} wild={}",
+                 warm={} preds={} sel={:.2}",
                 p.relevant_mappings,
                 p.block_count,
                 p.avg_block_fanout,
@@ -219,8 +171,7 @@ impl fmt::Display for Explain {
                 p.total_rewrite_postings,
                 p.cache_warm,
                 p.value_predicates,
-                p.pred_selectivity,
-                p.wildcard_nodes
+                p.pred_selectivity
             )?;
         }
         match &self.program {

@@ -8,7 +8,7 @@
 //!
 //! * a [`Json`] value tree (null, bool, number, string, array, object);
 //! * a strict recursive-descent parser ([`Json::parse`]) that rejects
-//!   trailing input;
+//!   trailing input and containers nested deeper than [`MAX_DEPTH`];
 //! * a canonical writer ([`Json::write`] / `Display`): no whitespace,
 //!   object keys in the order the encoder emits them (every encoder in
 //!   this crate emits keys alphabetically), integers without a fraction,
@@ -19,6 +19,11 @@
 //! serializes, which `uxm batch` files and the round-trip tests rely on.
 
 use std::fmt;
+
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level, so this bound keeps a hostile body (say, 400 KB of `[`) from
+/// overflowing a server worker's stack; deeper input is a parse error.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -106,6 +111,7 @@ impl Json {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -212,6 +218,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -252,8 +260,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b'0'..=b'9' | b'-') => self.number(),
             _ => {
@@ -268,6 +276,20 @@ impl<'a> Parser<'a> {
                 }
             }
         }
+    }
+
+    /// Parses one container with `parse`, one nesting level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -513,6 +535,23 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objects).is_ok());
+        // One level more fails at the offending bracket, however long the
+        // input (400 KB of `[` used to overflow the stack).
+        let deeper = "[".repeat(MAX_DEPTH + 1);
+        let err = Json::parse(&deeper).unwrap_err();
+        assert_eq!((err.offset, err.message), (MAX_DEPTH, "nesting too deep"));
+        let bomb = "[".repeat(400 * 1024);
+        assert_eq!(Json::parse(&bomb).unwrap_err().offset, MAX_DEPTH);
+        let mixed = "[{\"k\":".repeat(MAX_DEPTH);
+        assert_eq!(Json::parse(&mixed).unwrap_err().message, "nesting too deep");
     }
 
     #[test]

@@ -16,14 +16,13 @@
 //! SLCA set per relevant mapping, weighted by the mapping's probability —
 //! and mappings whose rewrites agree share one evaluation.
 //!
-//! Evaluation happens in [`crate::engine`]; [`keyword_query`] is the
-//! free-function wrapper over a throwaway session, and malformed inputs
-//! surface as [`KeywordError`] instead of panicking.
+//! Ask with [`Query::keyword`](crate::api::Query::keyword); evaluation
+//! happens in [`crate::engine`], and malformed inputs surface as
+//! [`KeywordError`] instead of panicking.
 
-use crate::engine::{eval_keyword, SessionState};
-use crate::mapping::{MappingId, PossibleMappings};
+use crate::mapping::MappingId;
 use std::fmt;
-use uxm_xml::{DocNodeId, Document};
+use uxm_xml::DocNodeId;
 
 /// One per-mapping keyword answer.
 #[derive(Clone, Debug, PartialEq)]
@@ -79,35 +78,40 @@ impl KeywordError {
     }
 }
 
-/// Evaluates a keyword query over every possible mapping.
-///
-/// A mapping is *irrelevant* (and skipped) when some vocabulary keyword
-/// has no correspondence under it. Value keywords (terms matching no
-/// target label) never filter mappings.
-///
-/// Errors with [`KeywordError::Empty`] on an empty keyword list and
-/// [`KeywordError::TooMany`] beyond 64 keywords.
-///
-/// Use instead: [`QueryEngine::run`](crate::engine::QueryEngine::run)
-/// with [`Query::keyword`](crate::api::Query::keyword).
-#[deprecated(note = "build an api::Query::keyword and call QueryEngine::run")]
-pub fn keyword_query(
-    keywords: &[&str],
-    pm: &PossibleMappings,
-    doc: &Document,
-) -> Result<Vec<KeywordAnswer>, KeywordError> {
-    // Validate before paying for session construction.
-    KeywordError::check(keywords)?;
-    let state = SessionState::build(pm, doc);
-    eval_keyword(keywords, pm, doc, &state)
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // shim coverage: the legacy wrapper stays under test
 mod tests {
     use super::*;
-    use crate::engine::contains_word;
-    use uxm_xml::{parse_document, Schema};
+    use crate::api::Query;
+    use crate::block_tree::BlockTreeConfig;
+    use crate::engine::{contains_word, QueryEngine};
+    use crate::error::UxmError;
+    use crate::mapping::PossibleMappings;
+    use uxm_xml::{parse_document, Document, Schema};
+
+    /// A keyword query on a fresh engine, in the per-mapping shape the
+    /// evaluator produces; a second, cache-warm run must agree.
+    fn keyword_query(
+        keywords: &[&str],
+        pm: &PossibleMappings,
+        doc: &Document,
+    ) -> Result<Vec<KeywordAnswer>, KeywordError> {
+        let engine = QueryEngine::build(pm.clone(), doc.clone(), &BlockTreeConfig::default());
+        let query = Query::keyword(keywords.iter().map(|k| k.to_string()).collect());
+        let answers = match engine.run(&query) {
+            Ok(resp) => resp.answers,
+            Err(UxmError::Keyword(e)) => return Err(e),
+            Err(e) => panic!("unexpected error: {e}"),
+        };
+        assert_eq!(engine.run(&query).unwrap().answers, answers, "warm run");
+        Ok(answers
+            .into_iter()
+            .map(|a| KeywordAnswer {
+                mapping: a.mappings[0],
+                probability: a.probability,
+                slcas: a.matches.into_iter().map(|m| m.nodes[0]).collect(),
+            })
+            .collect())
+    }
 
     fn setup() -> (PossibleMappings, Document) {
         let source = Schema::parse_outline("Order(BP(BCN RCN) SP(SCN))").unwrap();

@@ -9,10 +9,10 @@
 //! * [`compress`] — mapping compression and storage accounting (the
 //!   compression-ratio metric of §VI),
 //! * [`rewrite`] — target→source query rewriting under a mapping,
-//! * [`ptq`] — the probabilistic twig query and `query_basic`
-//!   (Definition 4, Algorithm 3),
-//! * [`ptq_tree`] — PTQ evaluation with the block tree (Algorithm 4),
-//! * [`topk`] — top-k PTQ (Definition 5),
+//! * [`ptq`] — the probabilistic twig query's result types
+//!   (Definition 4); Algorithm 3 (`query_basic`), Algorithm 4 (the
+//!   block-tree evaluator) and top-k PTQ (Definition 5) run in
+//!   [`engine`],
 //! * [`stats`] — o-ratio and c-block distribution metrics (§VI),
 //! * [`path_ptq`] — node-granularity PTQ (an extension: exact semantics
 //!   when element labels repeat),
@@ -98,9 +98,7 @@
 //! assert_eq!(kw.len(), engine.mappings().len());
 //! ```
 //!
-//! The legacy free functions (`ptq_basic`, `ptq_with_tree`, `topk_ptq`,
-//! …) remain as **deprecated** shims building a throwaway session per
-//! call; the [`api`] module docs carry the migration table.
+//! Pin an evaluator with [`Query::with_evaluator`](api::Query::with_evaluator).
 //!
 //! To serve **many** schema-pair/document sessions at once — with
 //! snapshot persistence and a memory budget — put engines behind an
@@ -120,7 +118,6 @@ pub mod mapping;
 pub mod path_ptq;
 pub mod planner;
 pub mod ptq;
-pub mod ptq_tree;
 pub mod registry;
 pub mod rewrite;
 pub mod router;
@@ -129,7 +126,6 @@ pub mod server;
 pub mod stats;
 pub mod storage;
 pub(crate) mod sync;
-pub mod topk;
 
 pub use aggregate::{AggFunc, AggRow, AggregateResult};
 pub use api::{Answer, EvaluatorHint, Granularity, Query, QueryOptions, QueryResponse};
@@ -141,19 +137,6 @@ pub use keyword::{KeywordAnswer, KeywordError};
 pub use mapping::{Mapping, MappingId, PossibleMappings};
 pub use planner::{Evaluator, Plan, PlanReason};
 pub use ptq::{PtqAnswer, PtqResult};
-pub use registry::{BatchQuery, EngineRegistry, RegistryConfig, RegistryStats, Request, Response};
+pub use registry::{BatchQuery, EngineRegistry, RegistryConfig, RegistryStats};
 pub use router::{Ring, Router, RouterConfig, TopKAnswer};
 pub use server::{Server, ServerConfig, ServerHandle};
-
-// Legacy one-shot entry points, kept as deprecated shims over the
-// engine (see the `api` module docs for the migration table).
-#[allow(deprecated)]
-pub use keyword::keyword_query;
-#[allow(deprecated)]
-pub use ptq::ptq_basic;
-#[allow(deprecated)]
-pub use ptq_tree::ptq_with_tree;
-#[allow(deprecated)]
-pub use registry::RegistryError;
-#[allow(deprecated)]
-pub use topk::topk_ptq;

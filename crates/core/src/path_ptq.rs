@@ -1,7 +1,7 @@
 //! Node-granularity PTQ evaluation.
 //!
-//! The default evaluators ([`crate::ptq`], [`crate::ptq_tree`]) rewrite a
-//! query node's *label*: any source element carrying a rewritten label may
+//! The default [`Query::ptq`](crate::api::Query::ptq) evaluation rewrites
+//! a query node's *label*: any source element carrying a rewritten label may
 //! match. That is exact when element labels are unique (as in the paper's
 //! figures, where the three ContactName elements are labelled BCN/RCN/OCN),
 //! but coarser than the mapping itself when labels repeat.
@@ -10,62 +10,13 @@
 //! node to specific source *schema nodes*, and only document nodes
 //! instantiating those schema nodes (identified by their root label path
 //! via [`PathIndex`]) may match. This is the reproduction's main extension
-//! beyond the paper's experimental prototype.
+//! beyond the paper's experimental prototype; ask for it with
+//! [`Query::ptq_nodes`](crate::api::Query::ptq_nodes). The evaluators
+//! live in [`crate::engine`]; a block's answer is valid for precisely its
+//! mappings, since node candidates pin query nodes to exact source
+//! elements — no label-uniqueness side condition is needed.
 
-use crate::block_tree::BlockTree;
-use crate::engine::{eval_basic_nodes, eval_tree_nodes, SessionState};
-use crate::mapping::{MappingId, PossibleMappings};
-use crate::ptq::PtqResult;
-use uxm_twig::TwigPattern;
-use uxm_xml::{DocNodeId, Document, PathIndex, Schema, SchemaNodeId};
-
-/// Rewrites `q` through mapping `id` at node granularity: per query node,
-/// the source schema nodes it may match. `None` when irrelevant.
-pub fn rewrite_nodes_with_mapping(
-    q: &TwigPattern,
-    pm: &PossibleMappings,
-    id: MappingId,
-) -> Option<Vec<Vec<SchemaNodeId>>> {
-    let mut sets = Vec::with_capacity(q.len());
-    for node in q.ids() {
-        let nodes = pm.source_nodes_for(id, &q.node(node).label);
-        if nodes.is_empty() {
-            return None;
-        }
-        sets.push(nodes);
-    }
-    Some(sets)
-}
-
-/// Node-granularity rewrite through a raw correspondence set (sorted by
-/// target) — the c-block analogue.
-pub fn rewrite_nodes_with_pairs(
-    q: &TwigPattern,
-    target: &Schema,
-    pairs: &[(SchemaNodeId, SchemaNodeId)],
-) -> Option<Vec<Vec<SchemaNodeId>>> {
-    let source_for = |t: SchemaNodeId| -> Option<SchemaNodeId> {
-        pairs
-            .binary_search_by_key(&t, |&(_, tt)| tt)
-            .ok()
-            .map(|i| pairs[i].0)
-    };
-    let mut sets = Vec::with_capacity(q.len());
-    for node in q.ids() {
-        let mut nodes: Vec<SchemaNodeId> = target
-            .nodes_with_label(&q.node(node).label)
-            .into_iter()
-            .filter_map(source_for)
-            .collect();
-        if nodes.is_empty() {
-            return None;
-        }
-        nodes.sort_unstable();
-        nodes.dedup();
-        sets.push(nodes);
-    }
-    Some(sets)
-}
+use uxm_xml::{DocNodeId, PathIndex, Schema, SchemaNodeId};
 
 /// Maps source schema nodes to the document nodes instantiating them
 /// (matched by root label path).
@@ -85,65 +36,29 @@ pub fn schema_nodes_to_doc(
         .collect()
 }
 
-/// The node-granularity `filter_mappings`.
-pub fn filter_mappings_nodes(q: &TwigPattern, pm: &PossibleMappings) -> Vec<MappingId> {
-    pm.ids()
-        .filter(|&id| rewrite_nodes_with_mapping(q, pm, id).is_some())
-        .collect()
-}
-
-/// Node-granularity `query_basic`: rewrite and evaluate per mapping.
-///
-/// Deprecated shim over [`crate::engine`] with a throwaway session.
-///
-/// Use instead: [`QueryEngine::run`](crate::engine::QueryEngine::run)
-/// with [`Query::ptq_nodes`](crate::api::Query::ptq_nodes) pinned to
-/// [`EvaluatorHint::Naive`](crate::api::EvaluatorHint::Naive).
-#[deprecated(
-    note = "build an api::Query::ptq_nodes (evaluator hint Naive) and call QueryEngine::run"
-)]
-pub fn ptq_basic_nodes(
-    q: &TwigPattern,
-    pm: &PossibleMappings,
-    doc: &Document,
-    index: &PathIndex,
-) -> PtqResult {
-    let state = SessionState::build(pm, doc);
-    eval_basic_nodes(q, pm, doc, index, &state)
-}
-
-/// Node-granularity PTQ with the block tree: blocks anchored at target
-/// nodes answer once per block; everything else shares work across
-/// mappings whose node-rewrites agree.
-///
-/// Node candidates pin query nodes to exact source elements, so a block's
-/// answer is valid for precisely `b.M` — no label-uniqueness side
-/// condition is needed (unlike the label-mode evaluator).
-///
-/// Use instead: [`QueryEngine::run`](crate::engine::QueryEngine::run)
-/// with [`Query::ptq_nodes`](crate::api::Query::ptq_nodes) pinned to
-/// [`EvaluatorHint::BlockTree`](crate::api::EvaluatorHint::BlockTree).
-#[deprecated(
-    note = "build an api::Query::ptq_nodes (evaluator hint BlockTree) and call QueryEngine::run"
-)]
-pub fn ptq_with_tree_nodes(
-    q: &TwigPattern,
-    pm: &PossibleMappings,
-    doc: &Document,
-    index: &PathIndex,
-    tree: &BlockTree,
-) -> PtqResult {
-    let state = SessionState::build(pm, doc);
-    eval_tree_nodes(q, pm, doc, index, tree, &state)
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // shim coverage: the legacy wrappers stay under test
 mod tests {
     use super::*;
+    use crate::api::{EvaluatorHint, Query};
     use crate::block_tree::BlockTreeConfig;
-    use crate::ptq::ptq_basic;
-    use uxm_xml::parse_document;
+    use crate::engine::testing::{pinned, ptq_basic};
+    use crate::engine::QueryEngine;
+    use crate::mapping::PossibleMappings;
+    use crate::ptq::PtqResult;
+    use uxm_twig::TwigPattern;
+    use uxm_xml::{parse_document, Document};
+
+    /// Node-granularity PTQ of `q` pinned to `hint` on a fresh engine.
+    fn ptq_nodes(
+        q: &TwigPattern,
+        pm: &PossibleMappings,
+        doc: &Document,
+        config: &BlockTreeConfig,
+        hint: EvaluatorHint,
+    ) -> PtqResult {
+        let engine = QueryEngine::build(pm.clone(), doc.clone(), config);
+        pinned(&engine, Query::ptq_nodes(q.clone()), hint)
+    }
 
     /// Shared labels that label-mode cannot tell apart: all three contacts
     /// are `ContactName`.
@@ -176,9 +91,15 @@ mod tests {
 
     #[test]
     fn node_mode_disambiguates_shared_labels() {
-        let (pm, doc, index) = ambiguous_setup();
+        let (pm, doc, _) = ambiguous_setup();
         let q = TwigPattern::parse("//IP//ICN").unwrap();
-        let res = ptq_basic_nodes(&q, &pm, &doc, &index);
+        let res = ptq_nodes(
+            &q,
+            &pm,
+            &doc,
+            &BlockTreeConfig::default(),
+            EvaluatorHint::Naive,
+        );
         assert_eq!(res.len(), 3);
         let names: Vec<&str> = res
             .iter()
@@ -201,23 +122,23 @@ mod tests {
     }
 
     #[test]
-    fn tree_agrees_with_basic_in_node_mode() {
-        let (pm, doc, index) = ambiguous_setup();
-        let tree = BlockTree::build(
-            &pm.target.clone(),
-            &pm,
-            &BlockTreeConfig {
-                tau: 0.4,
-                ..BlockTreeConfig::default()
-            },
-        );
+    fn every_evaluator_agrees_in_node_mode() {
+        let (pm, doc, _) = ambiguous_setup();
+        let config = BlockTreeConfig {
+            tau: 0.4,
+            ..BlockTreeConfig::default()
+        };
         for qs in ["//IP//ICN", "//ICN", "ORDER//ICN", "ORDER"] {
             let q = TwigPattern::parse(qs).unwrap();
-            let mut a = ptq_basic_nodes(&q, &pm, &doc, &index);
-            let mut b = ptq_with_tree_nodes(&q, &pm, &doc, &index, &tree);
-            a.normalize();
-            b.normalize();
-            assert_eq!(a, b, "query {qs}");
+            let basic = ptq_nodes(&q, &pm, &doc, &config, EvaluatorHint::Naive);
+            for hint in [
+                EvaluatorHint::BlockTree,
+                EvaluatorHint::Compiled,
+                EvaluatorHint::Auto,
+            ] {
+                let got = ptq_nodes(&q, &pm, &doc, &config, hint);
+                assert_eq!(got, basic, "query {qs} {hint:?}");
+            }
         }
     }
 
@@ -237,12 +158,15 @@ mod tests {
             ],
         );
         let doc = parse_document("<Ord><A><X>1</X></A><B><Y>2</Y></B></Ord>").unwrap();
-        let index = PathIndex::new(&doc);
         let q = TwigPattern::parse("PO/P/Q").unwrap();
-        let mut by_label = ptq_basic(&q, &pm, &doc);
-        let mut by_node = ptq_basic_nodes(&q, &pm, &doc, &index);
-        by_label.normalize();
-        by_node.normalize();
+        let by_label = ptq_basic(&q, &pm, &doc);
+        let by_node = ptq_nodes(
+            &q,
+            &pm,
+            &doc,
+            &BlockTreeConfig::default(),
+            EvaluatorHint::Naive,
+        );
         assert_eq!(by_label, by_node);
     }
 

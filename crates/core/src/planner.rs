@@ -35,7 +35,6 @@
 //!     min_rewrite_postings: 40,   // cheapest per-label candidate stream
 //!     total_rewrite_postings: 120, // summed over the query's nodes
 //!     value_predicates: 0,
-//!     wildcard_nodes: 0,
 //!     pred_selectivity: 1.0, // no predicates: nothing filters
 //!     cache_warm: false,
 //! };
@@ -251,9 +250,6 @@ pub struct PlannerStats {
     pub total_rewrite_postings: usize,
     /// Number of value predicates across the query's nodes.
     pub value_predicates: usize,
-    /// Number of wildcard (`*`) query nodes — each one's candidate
-    /// stream is the whole document.
-    pub wildcard_nodes: usize,
     /// Estimated fraction of candidates surviving the query's value
     /// predicates (see [`estimate_selectivity`]); exactly `1.0` for a
     /// predicate-free query.
@@ -333,7 +329,6 @@ mod tests {
             min_rewrite_postings: 100,
             total_rewrite_postings: 1000,
             value_predicates: 0,
-            wildcard_nodes: 0,
             pred_selectivity: 1.0,
             cache_warm: warm,
         }

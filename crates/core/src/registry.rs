@@ -157,21 +157,6 @@ impl RegistryStats {
     }
 }
 
-/// The registry's old error type, absorbed into the crate-wide
-/// [`UxmError`] (variant for variant).
-///
-/// Use instead: [`UxmError`] (and match its variants directly — they
-/// carry the same data).
-#[deprecated(note = "use uxm_core::UxmError")]
-pub type RegistryError = UxmError;
-
-/// The request shape a registry batch carries: the typed [`Query`] of
-/// [`crate::api`].
-pub type Request = Query;
-
-/// The answer shape: the uniform [`QueryResponse`] of [`crate::api`].
-pub type Response = QueryResponse;
-
 /// One request of a [`EngineRegistry::batch`] call: an engine name plus
 /// the typed [`Query`] to ask it.
 #[derive(Clone, Debug, PartialEq)]

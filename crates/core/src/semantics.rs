@@ -64,11 +64,10 @@ pub fn expected_count(result: &PtqResult) -> f64 {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // fixtures built through the legacy wrappers
 mod tests {
     use super::*;
+    use crate::engine::testing::ptq_basic;
     use crate::mapping::PossibleMappings;
-    use crate::ptq::ptq_basic;
     use uxm_twig::TwigPattern;
     use uxm_xml::{parse_document, Schema};
 

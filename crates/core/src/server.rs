@@ -294,8 +294,7 @@ struct EngineCounters {
     plans_naive: AtomicU64,
     plans_block_tree: AtomicU64,
     plans_compiled: AtomicU64,
-    /// The backend that actually executed (`ExecStats::backend`), which
-    /// is the planned evaluator after the `UXM_EXEC` toggle resolves.
+    /// The backend that actually executed (`ExecStats::backend`).
     backends_naive: AtomicU64,
     backends_block_tree: AtomicU64,
     backends_compiled: AtomicU64,

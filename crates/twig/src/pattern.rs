@@ -27,8 +27,18 @@
 //! render via Rust's shortest-round-trip `f64` formatting, so one
 //! parse→display trip is a fixpoint (`[.<3.50]` canonicalizes to
 //! `[.<3.5]` and stays there).
+//!
+//! A parsed pattern is at most [`MAX_DEPTH`] nodes deep, counting both
+//! path steps and nested predicate paths.
 
 use std::fmt;
+
+/// How many nodes deep a parsed pattern may be (the root is depth 1).
+/// Parsing, rendering and evaluation all recurse once per level, so this
+/// bound keeps a hostile query (a long `A[B[A[…` nest, or a very long
+/// path) from overflowing a server worker's stack; deeper input is
+/// [`TwigParseError::TooDeep`].
+pub const MAX_DEPTH: usize = 64;
 
 /// Index of a node within a [`TwigPattern`]; the root is 0.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -303,6 +313,7 @@ impl TwigPattern {
         let mut p = PatternParser {
             input: input.as_bytes(),
             pos: 0,
+            depths: vec![1],
         };
         let pattern = p.parse_query()?;
         if p.pos < p.input.len() {
@@ -389,6 +400,9 @@ pub enum TwigParseError {
     Trailing(usize),
     /// The query string was empty.
     Empty,
+    /// The step at the given byte offset would make the pattern deeper
+    /// than [`MAX_DEPTH`] nodes.
+    TooDeep(usize),
 }
 
 impl fmt::Display for TwigParseError {
@@ -399,6 +413,9 @@ impl fmt::Display for TwigParseError {
             TwigParseError::BadPredicate(p) => write!(f, "malformed predicate at byte {p}"),
             TwigParseError::Trailing(p) => write!(f, "trailing input at byte {p}"),
             TwigParseError::Empty => write!(f, "empty query"),
+            TwigParseError::TooDeep(p) => {
+                write!(f, "pattern nests deeper than {MAX_DEPTH} nodes at byte {p}")
+            }
         }
     }
 }
@@ -408,6 +425,8 @@ impl std::error::Error for TwigParseError {}
 struct PatternParser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Per parsed pattern node: its depth (the root is 1).
+    depths: Vec<usize>,
 }
 
 impl<'a> PatternParser<'a> {
@@ -427,11 +446,28 @@ impl<'a> PatternParser<'a> {
         mut at: PatternNodeId,
     ) -> Result<(), TwigParseError> {
         while let Some(axis) = self.read_axis() {
-            let label = self.read_label()?;
-            at = q.add_child(at, label, axis);
+            at = self.add_step(q, at, axis)?;
             self.parse_step_suffix(q, at)?;
         }
         Ok(())
+    }
+
+    /// Reads a step's label and adds it as a child of `at`, unless that
+    /// would exceed [`MAX_DEPTH`].
+    fn add_step(
+        &mut self,
+        q: &mut TwigPattern,
+        at: PatternNodeId,
+        axis: Axis,
+    ) -> Result<PatternNodeId, TwigParseError> {
+        let start = self.pos;
+        let depth = self.depths[at.idx()] + 1;
+        if depth > MAX_DEPTH {
+            return Err(TwigParseError::TooDeep(start));
+        }
+        let label = self.read_label()?;
+        self.depths.push(depth);
+        Ok(q.add_child(at, label, axis))
     }
 
     /// Parses zero or more `[...]` predicates attached to `at`.
@@ -495,8 +531,7 @@ impl<'a> PatternParser<'a> {
         } else {
             return Err(TwigParseError::BadPredicate(self.pos));
         };
-        let label = self.read_label()?;
-        let child = q.add_child(at, label, axis);
+        let child = self.add_step(q, at, axis)?;
         self.parse_step_suffix(q, child)?;
         self.parse_spine(q, child)?;
         Ok(())
@@ -887,5 +922,38 @@ mod tests {
         let q = TwigPattern::parse("A[./B]/B").unwrap();
         assert_eq!(q.labels(), vec!["A", "B"]);
         assert_eq!(q.edge_count(), 2);
+    }
+
+    #[test]
+    fn depth_is_bounded() {
+        // A path of MAX_DEPTH steps parses and renders back; one more
+        // step fails at the offending label.
+        let path = |n: usize| vec!["A"; n].join("/");
+        let deepest = TwigPattern::parse(&path(MAX_DEPTH)).unwrap();
+        assert_eq!(deepest.len(), MAX_DEPTH);
+        assert_eq!(TwigPattern::parse(&deepest.to_string()).unwrap(), deepest);
+        assert_eq!(
+            TwigPattern::parse(&path(MAX_DEPTH + 1)),
+            Err(TwigParseError::TooDeep(2 * MAX_DEPTH))
+        );
+        // Nested predicate paths count the same way, and a huge nest
+        // fails at the same byte instead of overflowing the stack.
+        let nest = |n: usize| format!("{}{}", "A[".repeat(n - 1), "A") + &"]".repeat(n - 1);
+        assert_eq!(
+            TwigPattern::parse(&nest(MAX_DEPTH)).unwrap().len(),
+            MAX_DEPTH
+        );
+        assert_eq!(
+            TwigPattern::parse(&nest(MAX_DEPTH + 1)),
+            Err(TwigParseError::TooDeep(2 * MAX_DEPTH))
+        );
+        let bomb = "A[B[".repeat(100_000);
+        assert_eq!(
+            TwigPattern::parse(&bomb),
+            Err(TwigParseError::TooDeep(2 * MAX_DEPTH))
+        );
+        // Wide is fine: depth, not size, is bounded.
+        let wide = format!("A{}", "[./B]".repeat(10 * MAX_DEPTH));
+        assert_eq!(TwigPattern::parse(&wide).unwrap().len(), 10 * MAX_DEPTH + 1);
     }
 }

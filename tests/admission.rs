@@ -19,7 +19,10 @@
 //! * an engine evicted while a caller still holds its `Arc` is real
 //!   memory the budget no longer sees — `GET /stats` surfaces it as
 //!   `unreclaimed_bytes`, and the thrash gate sheds cold hydrations
-//!   when eviction churn says the working set exceeds the budget.
+//!   when eviction churn says the working set exceeds the budget;
+//! * a deeply nested body (400 KB of `[`, or a twig pattern nesting
+//!   `A[B[A[…`) used to overflow a worker's stack and abort the whole
+//!   process — both parsers now bound nesting, so it is a typed 400.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -413,4 +416,32 @@ fn stats_surfaces_eviction_drift_and_thrash_sheds() {
 
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Nesting bombs under the body limit are typed 400s, not a stack
+/// overflow: before the parsers bounded their recursion, either request
+/// aborted the whole server process.
+#[test]
+fn nesting_bombs_are_typed_400s_and_the_server_survives() {
+    let (_registry, handle) = start_with(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let mut c = Client::connect(handle.addr()).unwrap();
+
+    let json_bomb = "[".repeat(400 * 1024);
+    let (status, body) = c.post("/query/po", &json_bomb).unwrap();
+    assert_eq!(status, 400, "body: {body}");
+    assert_eq!(error_kind(&body), "json");
+    assert!(body.contains("nesting too deep"), "body: {body}");
+
+    let twig_bomb = format!(r#"{{"type":"ptq","pattern":"{}"}}"#, "A[B[".repeat(100_000));
+    let (status, body) = c.post("/query/po", &twig_bomb).unwrap();
+    assert_eq!(status, 400, "body: {body}");
+    assert_eq!(error_kind(&body), "parse");
+
+    // The same worker is alive and answers a normal query.
+    let (status, _) = c.post("/query/po", QUERY).unwrap();
+    assert_eq!(status, 200);
+    handle.shutdown();
 }

@@ -1,34 +1,31 @@
-//! The `QueryEngine` session layer must return results *identical* to the
-//! legacy free-function paths — same answers, same order, same floats —
-//! across the Table II datasets and the paper's query workload. The free
-//! functions are themselves wrappers over the engine with a throwaway
-//! session, so this pins (a) wrapper/engine agreement including all cache
-//! interactions, and (b) warm-cache runs agreeing with cold runs.
+//! A fresh `QueryEngine` (nothing cached: the one-shot query) must
+//! return results *identical* to a long-lived, cache-warm engine — same
+//! answers, same order, same floats — under every evaluator, across the
+//! Table II datasets and the paper's query workload. This pins every
+//! cache interaction: warm runs agree with cold runs.
 //!
 //! It also hosts the **planner differential suite**: `QueryEngine::run`
-//! must return identical answers under every forced evaluator hint and
+//! must return identical answers under every pinned evaluator hint and
 //! the auto plan, for every query kind, across all Table II datasets —
 //! the guarantee that lets the planner treat evaluator choice as a pure
 //! performance decision.
-//!
-//! This file is the designated *shim coverage*: it exercises the
-//! deprecated legacy entry points on purpose, so the CI deprecation gate
-//! (`RUSTFLAGS="-D deprecated"`) exempts it via this allow.
-#![allow(deprecated)]
 
 use uxm::core::api::{Answer, EvaluatorHint, Granularity, Query};
 use uxm::core::block_tree::{BlockTree, BlockTreeConfig};
 use uxm::core::engine::QueryEngine;
-use uxm::core::keyword::keyword_query;
 use uxm::core::mapping::PossibleMappings;
-use uxm::core::path_ptq::{ptq_basic_nodes, ptq_with_tree_nodes};
-use uxm::core::ptq::ptq_basic;
-use uxm::core::ptq_tree::ptq_with_tree;
 use uxm::core::registry::{BatchQuery, EngineRegistry};
-use uxm::core::topk::topk_ptq;
 use uxm::datagen::datasets::{Dataset, DatasetId};
 use uxm::datagen::queries::paper_queries;
-use uxm::xml::{DocGenConfig, Document, PathIndex};
+use uxm::xml::{DocGenConfig, Document};
+
+/// Every evaluator a query can pin, plus the auto plan.
+const HINTS: [EvaluatorHint; 4] = [
+    EvaluatorHint::Auto,
+    EvaluatorHint::Naive,
+    EvaluatorHint::BlockTree,
+    EvaluatorHint::Compiled,
+];
 
 /// Builds the session pieces for one dataset, sized to keep the full
 /// sweep affordable in debug builds.
@@ -55,38 +52,50 @@ fn session(id: DatasetId, m: usize, nodes: usize) -> QueryEngine {
     QueryEngine::new(pm, doc, tree)
 }
 
-/// Asserts every evaluator agrees between engine and legacy on `queries`,
-/// and that a second (cache-warm) engine run is identical to the first.
+/// A fresh engine over `engine`'s session pieces: no cache is warm.
+fn fresh(engine: &QueryEngine) -> QueryEngine {
+    QueryEngine::new(
+        engine.mappings().clone(),
+        engine.document().clone(),
+        engine.tree().clone(),
+    )
+}
+
+/// The answers of `query` on a fresh engine over `engine`'s pieces.
+fn cold(engine: &QueryEngine, query: &Query) -> Vec<Answer> {
+    fresh(engine).run(query).expect("valid query").answers
+}
+
+/// Asserts that `engine` (warm after its first run) answers `query`
+/// exactly like a fresh engine, twice over.
+fn assert_fresh_equals_warm(engine: &QueryEngine, query: &Query, label: &str) {
+    let expected = cold(engine, query);
+    for pass in ["first", "warm"] {
+        let got = engine.run(query).expect("valid query").answers;
+        assert_eq!(got, expected, "{label}: {query} ({pass} run)");
+    }
+}
+
+/// Asserts fresh ≡ warm for the PTQ and top-k forms of `queries` under
+/// every evaluator.
 fn assert_equivalent(engine: &QueryEngine, queries: &[usize], dataset: &str) {
     let all = paper_queries();
-    let (pm, doc, tree) = (engine.mappings(), engine.document(), engine.tree());
     for &qi in queries {
         let q = &all[qi - 1];
         let label = format!("{dataset} Q{qi}");
-
-        let basic = engine.ptq(q);
-        assert_eq!(basic, ptq_basic(q, pm, doc), "{label}: ptq_basic");
-        assert_eq!(basic, engine.ptq(q), "{label}: warm ptq");
-
-        let tree_res = engine.ptq_with_tree(q);
-        assert_eq!(
-            tree_res,
-            ptq_with_tree(q, pm, doc, tree),
-            "{label}: ptq_with_tree"
-        );
-        assert_eq!(
-            tree_res,
-            engine.ptq_with_tree(q),
-            "{label}: warm ptq_with_tree"
-        );
-
-        let top = engine.topk(q, 5);
-        assert_eq!(top, topk_ptq(q, pm, doc, tree, 5), "{label}: topk_ptq");
+        for hint in HINTS {
+            assert_fresh_equals_warm(engine, &Query::ptq(q.clone()).with_evaluator(hint), &label);
+            assert_fresh_equals_warm(
+                engine,
+                &Query::topk(q.clone(), 5).with_evaluator(hint),
+                &label,
+            );
+        }
     }
 }
 
 #[test]
-fn engine_equals_legacy_on_small_datasets_full_workload() {
+fn fresh_equals_warm_on_small_datasets_full_workload() {
     for id in [
         DatasetId::D1,
         DatasetId::D2,
@@ -100,7 +109,7 @@ fn engine_equals_legacy_on_small_datasets_full_workload() {
 }
 
 #[test]
-fn engine_equals_legacy_on_large_datasets_spot_queries() {
+fn fresh_equals_warm_on_large_datasets_spot_queries() {
     for id in [
         DatasetId::D6,
         DatasetId::D7,
@@ -114,11 +123,10 @@ fn engine_equals_legacy_on_large_datasets_spot_queries() {
 }
 
 /// The serving stack adds no semantics: for every request kind, the
-/// registry batch path returns exactly what the engine returns, which
-/// returns exactly what the legacy free functions return
-/// (registry ≡ engine ≡ legacy).
+/// registry batch path returns exactly what a fresh engine returns for
+/// the same query (registry ≡ engine).
 #[test]
-fn registry_batch_equals_engine_equals_legacy() {
+fn registry_batch_equals_fresh_engine() {
     let registry = EngineRegistry::new();
     let all = paper_queries();
     // Two resident engines so the batch exercises cross-engine routing.
@@ -126,94 +134,51 @@ fn registry_batch_equals_engine_equals_legacy() {
         registry.insert(name, session(id, 20, 400));
     }
     for (name, id) in [("d4", DatasetId::D4), ("d7", DatasetId::D7)] {
-        let legacy = session(id, 20, 400);
-        let (pm, doc, tree) = (legacy.mappings(), legacy.document(), legacy.tree());
-        let vocab = pm
-            .target
-            .label(pm.target.children(pm.target.root())[0])
-            .to_string();
+        let reference = session(id, 20, 400);
+        let target = &reference.mappings().target;
+        let vocab = target.label(target.children(target.root())[0]).to_string();
         for qi in [2usize, 7, 10] {
             let q = &all[qi - 1];
-            let answers = registry.batch(&[
+            let batch = [
                 BatchQuery::ptq(name, q.clone()),
                 BatchQuery::basic(name, q.clone()),
                 BatchQuery::topk(name, q.clone(), 5),
                 BatchQuery::keyword(name, vec![vocab.clone(), "order".to_string()]),
-            ]);
-            let label = format!("{} Q{qi}", id.name());
-            assert_eq!(
-                answers[0].as_ref().unwrap().answers,
-                legacy_as_answers(&ptq_with_tree(q, pm, doc, tree)),
-                "{label}: registry ptq vs legacy"
-            );
-            assert_eq!(
-                answers[1].as_ref().unwrap().answers,
-                legacy_as_answers(&ptq_basic(q, pm, doc)),
-                "{label}: registry basic vs legacy"
-            );
-            assert_eq!(
-                answers[2].as_ref().unwrap().answers,
-                legacy_as_answers(&topk_ptq(q, pm, doc, tree, 5)),
-                "{label}: registry topk vs legacy"
-            );
-            let keyword_legacy: Vec<Answer> = keyword_query(&[vocab.as_str(), "order"], pm, doc)
-                .unwrap()
-                .into_iter()
-                .map(|a| Answer {
-                    probability: a.probability,
-                    mappings: vec![a.mapping],
-                    matches: a
-                        .slcas
-                        .into_iter()
-                        .map(|n| uxm::twig::TwigMatch { nodes: vec![n] })
-                        .collect(),
-                })
-                .collect();
-            assert_eq!(
-                answers[3].as_ref().unwrap().answers,
-                keyword_legacy,
-                "{label}: registry keyword vs legacy"
-            );
+            ];
+            let answers = registry.batch(&batch);
+            for (item, got) in batch.iter().zip(answers) {
+                assert_eq!(
+                    got.unwrap().answers,
+                    cold(&reference, &item.query),
+                    "{} Q{qi}: registry {} vs engine",
+                    id.name(),
+                    item.query
+                );
+            }
         }
     }
-}
-
-/// Converts a legacy per-mapping result into the unified answer shape
-/// (the exact transformation `run` performs at `Granularity::Mapping`).
-fn legacy_as_answers(result: &uxm::core::ptq::PtqResult) -> Vec<Answer> {
-    result
-        .iter()
-        .map(|a| Answer {
-            probability: a.probability,
-            mappings: vec![a.mapping],
-            matches: a.matches.clone(),
-        })
-        .collect()
 }
 
 /// The planner differential suite: for every Table II dataset and every
 /// query kind, `run()` answers are identical under the auto plan and
 /// every pinned evaluator — including the compiled bytecode backend —
-/// and equal to the legacy ground truth.
+/// and equal to Algorithm 3 on a fresh engine.
 #[test]
 fn run_is_plan_invariant_across_all_datasets() {
-    let hints = [
-        EvaluatorHint::Auto,
-        EvaluatorHint::Naive,
-        EvaluatorHint::BlockTree,
-        EvaluatorHint::Compiled,
-    ];
     let all = paper_queries();
     for id in DatasetId::all() {
         let engine = session(id, 20, 400);
-        let (pm, doc) = (engine.mappings(), engine.document());
         for qi in [2usize, 7, 10] {
             let q = &all[qi - 1];
             let label = format!("{} Q{qi}", id.name());
 
-            // Label granularity: auto and both pins agree with legacy.
-            let expected = legacy_as_answers(&ptq_basic(q, pm, doc));
-            for hint in hints {
+            // Label granularity: auto and every pin agree with
+            // Algorithm 3 on a fresh engine.
+            let expected = cold(
+                &engine,
+                &Query::ptq(q.clone()).with_evaluator(EvaluatorHint::Naive),
+            );
+            for hint in HINTS {
                 let got = engine
                     .run(&Query::ptq(q.clone()).with_evaluator(hint))
                     .unwrap();
@@ -222,7 +187,7 @@ fn run_is_plan_invariant_across_all_datasets() {
 
             // Node granularity: all hints agree with each other.
             let node_reference = engine.run(&Query::ptq_nodes(q.clone())).unwrap();
-            for hint in hints {
+            for hint in HINTS {
                 let got = engine
                     .run(&Query::ptq_nodes(q.clone()).with_evaluator(hint))
                     .unwrap();
@@ -232,9 +197,13 @@ fn run_is_plan_invariant_across_all_datasets() {
                 );
             }
 
-            // Top-k: all hints agree with each other and with legacy.
-            let top_expected = legacy_as_answers(&topk_ptq(q, pm, doc, engine.tree(), 5));
-            for hint in hints {
+            // Top-k: all hints agree with each other and with the block
+            // tree on a fresh engine.
+            let top_expected = cold(
+                &engine,
+                &Query::topk(q.clone(), 5).with_evaluator(EvaluatorHint::BlockTree),
+            );
+            for hint in HINTS {
                 let got = engine
                     .run(&Query::topk(q.clone(), 5).with_evaluator(hint))
                     .unwrap();
@@ -246,7 +215,7 @@ fn run_is_plan_invariant_across_all_datasets() {
             let distinct_reference = engine
                 .run(&Query::ptq(q.clone()).with_granularity(Granularity::Distinct))
                 .unwrap();
-            for hint in hints {
+            for hint in HINTS {
                 let got = engine
                     .run(
                         &Query::ptq(q.clone())
@@ -327,38 +296,24 @@ fn compiled_replay_hits_the_program_cache() {
 }
 
 #[test]
-fn engine_equals_legacy_node_granularity_and_keyword() {
+fn fresh_equals_warm_node_granularity_and_keyword() {
     let engine = session(DatasetId::D4, 30, 600);
-    let (pm, doc, tree) = (engine.mappings(), engine.document(), engine.tree());
-    let index = PathIndex::new(doc);
     let all = paper_queries();
     for qi in [2usize, 7, 10] {
         let q = &all[qi - 1];
-        assert_eq!(
-            engine.ptq_nodes(q),
-            ptq_basic_nodes(q, pm, doc, &index),
-            "D4 Q{qi}: ptq_basic_nodes"
-        );
-        assert_eq!(
-            engine.ptq_with_tree_nodes(q),
-            ptq_with_tree_nodes(q, pm, doc, &index, tree),
-            "D4 Q{qi}: ptq_with_tree_nodes"
-        );
+        for hint in HINTS {
+            let query = Query::ptq_nodes(q.clone()).with_evaluator(hint);
+            assert_fresh_equals_warm(&engine, &query, &format!("D4 Q{qi}"));
+        }
     }
     // Keyword: one vocabulary term (a target label) and one value term.
-    let vocab = pm
-        .target
-        .label(pm.target.children(pm.target.root())[0])
-        .to_string();
+    let target = &engine.mappings().target;
+    let vocab = target.label(target.children(target.root())[0]).to_string();
     for terms in [
-        vec![vocab.as_str()],
-        vec!["order"],
-        vec![vocab.as_str(), "order"],
+        vec![vocab.clone()],
+        vec!["order".to_string()],
+        vec![vocab.clone(), "order".to_string()],
     ] {
-        assert_eq!(
-            engine.keyword(&terms).unwrap(),
-            keyword_query(&terms, pm, doc).unwrap(),
-            "keyword {terms:?}"
-        );
+        assert_fresh_equals_warm(&engine, &Query::keyword(terms), "D4 keyword");
     }
 }

@@ -1,17 +1,13 @@
 //! Property-based tests for the core contribution: block-tree invariants,
 //! lossless compression, and exact agreement between the basic and
 //! block-tree PTQ evaluators on arbitrary mapping sets and queries.
-//!
-//! Shim coverage: the legacy free functions are exercised on purpose, so
-//! the CI deprecation gate exempts this file via the allow below.
-#![allow(deprecated)]
 
 use proptest::prelude::*;
+use uxm::core::api::{Answer, EvaluatorHint, Query};
 use uxm::core::block_tree::{BlockTree, BlockTreeConfig};
 use uxm::core::compress::compress;
+use uxm::core::engine::QueryEngine;
 use uxm::core::mapping::PossibleMappings;
-use uxm::core::ptq::ptq_basic;
-use uxm::core::ptq_tree::ptq_with_tree;
 use uxm::twig::TwigPattern;
 use uxm::xml::{DocGenConfig, Document, Schema, SchemaNodeId};
 
@@ -69,6 +65,14 @@ const QUERIES: [&str; 8] = [
     "PO[./Dest/Street][./Cust/CMail]//Quantity",
 ];
 
+/// The answers of the PTQ `q` pinned to `hint`.
+fn ptq(engine: &QueryEngine, q: &TwigPattern, hint: EvaluatorHint) -> Vec<Answer> {
+    engine
+        .run(&Query::ptq(q.clone()).with_evaluator(hint))
+        .expect("valid query")
+        .answers
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -110,10 +114,9 @@ proptest! {
         let cfg = BlockTreeConfig { tau, ..BlockTreeConfig::default() };
         let tree = BlockTree::build(&pm.target.clone(), &pm, &cfg);
         let q = TwigPattern::parse(QUERIES[q_idx]).unwrap();
-        let mut basic = ptq_basic(&q, &pm, &doc);
-        let mut with_tree = ptq_with_tree(&q, &pm, &doc, &tree);
-        basic.normalize();
-        with_tree.normalize();
+        let engine = QueryEngine::new(pm, doc, tree);
+        let basic = ptq(&engine, &q, EvaluatorHint::Naive);
+        let with_tree = ptq(&engine, &q, EvaluatorHint::BlockTree);
         prop_assert_eq!(basic, with_tree, "query {}", QUERIES[q_idx]);
     }
 
@@ -146,10 +149,8 @@ proptest! {
             &pm,
             &BlockTreeConfig { max_blocks: 1, ..BlockTreeConfig::default() },
         );
-        let mut a = ptq_with_tree(&q, &pm, &doc, &full);
-        let mut b = ptq_with_tree(&q, &pm, &doc, &capped);
-        a.normalize();
-        b.normalize();
+        let a = ptq(&QueryEngine::new(pm.clone(), doc.clone(), full), &q, EvaluatorHint::BlockTree);
+        let b = ptq(&QueryEngine::new(pm, doc, capped), &q, EvaluatorHint::BlockTree);
         prop_assert_eq!(a, b);
     }
 }

@@ -109,7 +109,8 @@ proptest! {
 
     /// The compiled differential on random twigs: for every query kind,
     /// the compiled backend's answers and provenance equal the naive
-    /// recursive reference and whatever the auto plan picked.
+    /// recursive reference, the block tree, and whatever the auto plan
+    /// picked — left at its default or pinned to `Auto` explicitly.
     #[test]
     fn compiled_equals_recursive_on_random_twigs(
         spec in proptest::collection::vec((0u8..16, 0u8..8, proptest::prop::bool::ANY), 1..5),
@@ -123,10 +124,13 @@ proptest! {
             Query::ptq(pattern.clone()).with_granularity(Granularity::Distinct),
         ] {
             let naive = answers(&base.clone().with_evaluator(EvaluatorHint::Naive));
-            let auto = answers(&base);
             let vm = compiled(&base);
             prop_assert_eq!(&vm, &naive, "{} compiled diverged from naive", &base);
-            prop_assert_eq!(&vm, &auto, "{} compiled diverged from auto", &base);
+            prop_assert_eq!(&answers(&base), &vm, "{} default plan diverged", &base);
+            for hint in [EvaluatorHint::BlockTree, EvaluatorHint::Auto] {
+                let pinned = answers(&base.clone().with_evaluator(hint));
+                prop_assert_eq!(&pinned, &vm, "{} under {:?} diverged", &base, hint);
+            }
         }
     }
 

@@ -100,7 +100,12 @@ proptest! {
         k in 0usize..30,
     ) {
         let pattern = twig_from_spec(&spec);
-        let hints = [EvaluatorHint::Naive, EvaluatorHint::BlockTree];
+        let hints = [
+            EvaluatorHint::Auto,
+            EvaluatorHint::Naive,
+            EvaluatorHint::BlockTree,
+            EvaluatorHint::Compiled,
+        ];
         for base in [
             Query::ptq(pattern.clone()),
             Query::ptq_nodes(pattern.clone()),

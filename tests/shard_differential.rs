@@ -16,7 +16,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use uxm::core::aggregate::AggFunc;
-use uxm::core::api::Query;
+use uxm::core::api::{EvaluatorHint, Query};
 use uxm::core::block_tree::{BlockTree, BlockTreeConfig};
 use uxm::core::engine::QueryEngine;
 use uxm::core::json::Json;
@@ -113,6 +113,14 @@ fn answers_subtree(body: &str) -> String {
         .to_string()
 }
 
+/// Every evaluator a query can pin, plus the auto plan.
+const HINTS: [EvaluatorHint; 4] = [
+    EvaluatorHint::Auto,
+    EvaluatorHint::Naive,
+    EvaluatorHint::BlockTree,
+    EvaluatorHint::Compiled,
+];
+
 const ENGINES: [&str; 10] = ["d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8", "d9", "d10"];
 
 /// The spot queries (1-based indices into the paper workload) the
@@ -134,16 +142,24 @@ fn router_matches_single_registry_across_datasets_and_ring_sizes() {
         for name in ENGINES {
             for &qi in &SPOT {
                 let pattern = workload[qi - 1].clone();
-                for query in [Query::ptq(pattern.clone()), Query::topk(pattern.clone(), 5)] {
-                    let (s_status, s_body) = sc.query(name, &query).unwrap();
-                    let (r_status, r_body) = rc.query(name, &query).unwrap();
-                    assert_eq!(s_status, r_status, "{shards} shards, {name} Q{qi}");
-                    assert_eq!(s_status, 200, "{name} Q{qi}: {s_body}");
-                    assert_eq!(
-                        answers_subtree(&s_body),
-                        answers_subtree(&r_body),
-                        "{shards} shards, {name} Q{qi}: answers diverge"
-                    );
+                for base in [Query::ptq(pattern.clone()), Query::topk(pattern.clone(), 5)] {
+                    // Every evaluator answers alike through either front.
+                    let mut reference = None;
+                    for hint in HINTS {
+                        let query = base.clone().with_evaluator(hint);
+                        let (s_status, s_body) = sc.query(name, &query).unwrap();
+                        let (r_status, r_body) = rc.query(name, &query).unwrap();
+                        assert_eq!(s_status, r_status, "{shards} shards, {name} {query}");
+                        assert_eq!(s_status, 200, "{name} {query}: {s_body}");
+                        let answers = answers_subtree(&s_body);
+                        assert_eq!(
+                            answers,
+                            answers_subtree(&r_body),
+                            "{shards} shards, {name} {query}: answers diverge"
+                        );
+                        let reference = reference.get_or_insert_with(|| answers.clone());
+                        assert_eq!(&answers, reference, "{name} {query}: plan changed answers");
+                    }
                 }
             }
             let kw = Query::keyword(vec!["laptop".into()]);
