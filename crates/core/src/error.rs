@@ -69,17 +69,6 @@ pub enum UxmError {
     /// failure was contained to the one request and the service keeps
     /// running. Served as HTTP 500.
     Internal(String),
-    /// The shard that owns the requested engine could not be reached
-    /// over the router's internal hop (see [`crate::router`]). Served as
-    /// HTTP 503 with a `Retry-After` header; the router retries once
-    /// against a fresh ring before reporting this, so it usually means a
-    /// shard process is genuinely down mid-rebalance.
-    ShardUnavailable {
-        /// The unreachable shard's id.
-        shard: u64,
-        /// What failed on the internal hop.
-        reason: String,
-    },
     /// A wire-format document failed to parse or had the wrong shape.
     Json(String),
     /// A structurally valid [`crate::api::Query`] with unusable options
@@ -110,9 +99,6 @@ impl fmt::Display for UxmError {
                 retry_after_ms,
             } => write!(f, "rate limited: {reason} (retry in {retry_after_ms}ms)"),
             UxmError::Internal(e) => write!(f, "internal: {e}"),
-            UxmError::ShardUnavailable { shard, reason } => {
-                write!(f, "shard {shard} unavailable: {reason}")
-            }
             UxmError::Json(e) => write!(f, "wire format: {e}"),
             UxmError::InvalidQuery(e) => write!(f, "invalid query: {e}"),
             UxmError::Usage(e) => write!(f, "usage: {e}"),
@@ -170,7 +156,6 @@ impl UxmError {
             UxmError::Overloaded { .. } => "overloaded",
             UxmError::RateLimited { .. } => "rate-limited",
             UxmError::Internal(_) => "internal",
-            UxmError::ShardUnavailable { .. } => "shard-unavailable",
             UxmError::Json(_) => "json",
             UxmError::InvalidQuery(_) => "invalid-query",
             UxmError::Usage(_) => "usage",
@@ -216,12 +201,6 @@ mod tests {
             UxmError::Internal("handler panicked".into()).kind(),
             "internal"
         );
-        let s = UxmError::ShardUnavailable {
-            shard: 3,
-            reason: "connect refused".into(),
-        };
-        assert_eq!(s.kind(), "shard-unavailable");
-        assert_eq!(s.to_string(), "shard 3 unavailable: connect refused");
     }
 
     #[test]

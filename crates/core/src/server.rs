@@ -26,9 +26,11 @@
 //!
 //! The same serving shell (accept loop, worker pool, admission control,
 //! panic containment) also fronts the sharded deployment: a
-//! [`crate::router::Router`] binds it over a scatter-gather handler
-//! instead of a registry, adding `GET /shards` and routing everything
-//! else to per-shard servers over loopback.
+//! [`crate::router::Router`] binds it over its shard set instead of one
+//! registry, adding `GET /shards` and calling each engine's owning
+//! registry directly. `/batch`, `/topk` and `/aggregate` take the same
+//! fan-out path in both (see [`crate::router`]); a plain server is its
+//! one-registry case.
 //!
 //! Failures never panic a worker: every error is a typed
 //! [`UxmError`] rendered as `{"error":{"kind":…,"message":…}}` with the
@@ -54,11 +56,10 @@
 //!   cold hydrations with **503** while evictions are thrashing (see
 //!   [`crate::registry::RegistryConfig::thrash_evictions`]).
 //!
-//! Behind a router, the TCP peer of every shard-bound connection is the
-//! router itself (loopback), so shard servers run with
-//! [`ServerConfig::trust_forwarded_client`] set and bind the per-client
-//! cap to the `x-uxm-client` identity the router forwards with each
-//! request — 429s keep naming the real client, not the hop.
+//! Behind a router, admission control applies once, at the front: the
+//! router calls its shard registries directly, so every client is
+//! counted by its own TCP peer address. Each shard's thrash gate still
+//! answers its own 503s.
 //!
 //! Shed counts and contained panics are reported in the `"server"`
 //! section of `GET /stats`; registry memory accounting (including
@@ -124,6 +125,7 @@ use crate::error::UxmError;
 use crate::json::Json;
 use crate::planner::Evaluator;
 use crate::registry::{BatchQuery, EngineRegistry};
+use crate::router::route_queries;
 use crate::sync;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -172,18 +174,6 @@ pub struct ServerConfig {
     /// tests and the soak harness can prove that. Off by default and
     /// never enabled by `uxm serve`.
     pub debug_panic_route: bool,
-    /// Trust the `x-uxm-client` request header as the client identity
-    /// for the per-client cap. Meant **only** for servers reached
-    /// exclusively through a trusted hop — the router's internal shard
-    /// servers, whose TCP peer is always the router on loopback. When
-    /// set, connections are not capped at accept time (the identity
-    /// arrives with the first request); instead each request re-binds
-    /// the connection's per-client slot to the forwarded identity, and
-    /// an identity already holding [`ServerConfig::max_conns_per_client`]
-    /// slots is answered with a typed 429. Never enable it on a server
-    /// that untrusted clients can reach directly: the header is
-    /// client-controlled there. Default `false`.
-    pub trust_forwarded_client: bool,
 }
 
 impl Default for ServerConfig {
@@ -196,7 +186,6 @@ impl Default for ServerConfig {
             max_conns_per_client: 256,
             retry_after_ms: 250,
             debug_panic_route: false,
-            trust_forwarded_client: false,
         }
     }
 }
@@ -439,7 +428,7 @@ impl ServerStats {
     }
 
     /// Records one resolved request's outcome under `name`.
-    fn record(&self, name: &str, outcome: &Result<crate::api::QueryResponse, UxmError>) {
+    pub(crate) fn record(&self, name: &str, outcome: &Result<crate::api::QueryResponse, UxmError>) {
         let c = self.engine(name);
         c.requests.fetch_add(1, Ordering::Relaxed);
         match outcome {
@@ -520,7 +509,7 @@ impl ServerStats {
 /// entry remembers the peer IP so the per-client connection count can
 /// be released when the worker finishes with it.
 struct Queue {
-    conns: VecDeque<(TcpStream, Option<IpAddr>)>,
+    conns: VecDeque<(TcpStream, IpAddr)>,
     /// Set once the accept loop exits; workers drain what is queued,
     /// then stop.
     closed: bool,
@@ -531,18 +520,10 @@ struct Queue {
 /// ([`RegistryHandler`]) and the shard router
 /// ([`crate::router::Router`]) plug into the same serving shell
 /// (accept loop, worker pool, admission control, panic containment)
-/// through this trait. `client` is the connection's accounting
-/// identity — the TCP peer, or the forwarded identity after a re-bind —
-/// which the router forwards on its internal hop.
+/// through this trait.
 pub(crate) trait Handler: Send + Sync + 'static {
     /// Routes one request.
-    fn handle(
-        &self,
-        stats: &ServerStats,
-        config: &ServerConfig,
-        client: Option<IpAddr>,
-        request: &Request,
-    ) -> (u16, String);
+    fn handle(&self, stats: &ServerStats, request: &Request) -> (u16, String);
 }
 
 struct Shared {
@@ -709,20 +690,12 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             continue;
         };
         shared.stats.connections.fetch_add(1, Ordering::Relaxed);
-        // Behind a trusted hop the TCP peer is always the router on
-        // loopback; the real identity arrives per request in
-        // `x-uxm-client`, so the cap is enforced at request time
-        // (see `serve_connection`) instead of here.
-        let ip = if shared.config.trust_forwarded_client {
-            None
-        } else {
-            Some(peer.ip())
-        };
+        let ip = peer.ip();
 
         // Per-client fairness: one peer holding its cap's worth of
         // connections gets 429s, not more of the queue.
-        let cap = shared.config.max_conns_per_client;
-        if cap > 0 && ip.is_some() && !try_acquire_client(shared, peer.ip()) {
+        if !try_acquire_client(shared, ip) {
+            let cap = shared.config.max_conns_per_client;
             shared.stats.shed_per_client.fetch_add(1, Ordering::Relaxed);
             shed(
                 shared,
@@ -785,8 +758,7 @@ fn try_acquire_client(shared: &Shared, ip: IpAddr) -> bool {
 }
 
 /// Releases one unit of `ip`'s per-client connection count.
-fn release_client(shared: &Shared, ip: Option<IpAddr>) {
-    let Some(ip) = ip else { return };
+fn release_client(shared: &Shared, ip: IpAddr) {
     if shared.config.max_conns_per_client == 0 {
         return;
     }
@@ -820,13 +792,9 @@ fn worker_loop(shared: &Shared) {
             Some((stream, ip)) => {
                 // A panic anywhere in connection handling is contained
                 // to this one connection: the worker survives, and the
-                // per-client count is released either way. The slot may
-                // have been re-bound to a forwarded identity mid-
-                // connection, so the release uses the identity the
-                // connection last held.
-                let mut ip = ip;
+                // per-client count is released either way.
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let _ = serve_connection(shared, stream, &mut ip);
+                    let _ = serve_connection(shared, stream);
                 }));
                 release_client(shared, ip);
                 if result.is_err() {
@@ -853,9 +821,6 @@ pub(crate) struct Request {
     pub(crate) path: String,
     pub(crate) body: String,
     keep_alive: bool,
-    /// The `x-uxm-client` header, when present and a valid IP. Only
-    /// honored when [`ServerConfig::trust_forwarded_client`] is set.
-    forwarded_client: Option<IpAddr>,
 }
 
 enum ReadOutcome {
@@ -867,15 +832,9 @@ enum ReadOutcome {
     Reject(u16, UxmError),
 }
 
-/// Serves one connection. `account` is the identity currently holding
-/// this connection's per-client slot: the TCP peer on a normal server,
-/// or (behind a trusted hop) the forwarded identity of the most recent
-/// request — the worker releases whatever it holds on exit.
-fn serve_connection(
-    shared: &Shared,
-    stream: TcpStream,
-    account: &mut Option<IpAddr>,
-) -> std::io::Result<()> {
+/// Serves one connection until the peer closes, the keep-alive budget
+/// runs out, or a response says `connection: close`.
+fn serve_connection(shared: &Shared, stream: TcpStream) -> std::io::Result<()> {
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(READ_TICK)).ok();
     let mut reader = BufReader::new(stream.try_clone()?);
@@ -895,44 +854,12 @@ fn serve_connection(
             }
         };
         shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-        // Behind a trusted hop, re-bind this connection's per-client
-        // slot to the forwarded identity so the cap (and its 429s)
-        // keeps naming the real client, not the loopback hop.
-        if shared.config.trust_forwarded_client && shared.config.max_conns_per_client > 0 {
-            if let Some(fwd) = request.forwarded_client {
-                if *account != Some(fwd) {
-                    if try_acquire_client(shared, fwd) {
-                        release_client(shared, *account);
-                        *account = Some(fwd);
-                    } else {
-                        let cap = shared.config.max_conns_per_client;
-                        shared.stats.shed_per_client.fetch_add(1, Ordering::Relaxed);
-                        shared.stats.http_errors.fetch_add(1, Ordering::Relaxed);
-                        let e = UxmError::RateLimited {
-                            reason: format!(
-                                "client {fwd} holds {cap} connections (the per-client cap)"
-                            ),
-                            retry_after_ms: shared.config.retry_after_ms,
-                        };
-                        write_response_with(
-                            &mut writer,
-                            429,
-                            &error_body(&e),
-                            false,
-                            Some(shared.config.retry_after_ms),
-                        )?;
-                        return Ok(());
-                    }
-                }
-            }
-        }
         let mut keep_alive = request.keep_alive && !shared.shutdown.load(Ordering::SeqCst);
         // A handler panic is contained to this one request: the worker
         // answers a typed 500 and keeps serving (the shared locks are
         // poison-tolerant, so other workers never notice).
-        let client = *account;
         let (status, body) = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            route(shared, client, &request)
+            route(shared, &request)
         })) {
             Ok(answer) => answer,
             Err(panic) => {
@@ -1040,7 +967,6 @@ fn read_request(
     let mut keep_alive = version != "HTTP/1.0";
 
     let mut content_length: Option<usize> = None;
-    let mut forwarded_client: Option<IpAddr> = None;
     for _ in 0..100 {
         let mut header = String::new();
         if read_line_patient(shared, reader, &mut header, deadline)? == 0 {
@@ -1093,7 +1019,6 @@ fn read_request(
                 path,
                 body,
                 keep_alive,
-                forwarded_client,
             }));
         }
         let Some((name, value)) = header.split_once(':') else {
@@ -1111,10 +1036,6 @@ fn read_request(
             } else if value.eq_ignore_ascii_case("keep-alive") {
                 keep_alive = true;
             }
-        } else if name.eq_ignore_ascii_case("x-uxm-client") {
-            // Unparsable values are ignored, not rejected: the header
-            // only means anything on trusted internal servers.
-            forwarded_client = value.parse().ok();
         }
     }
     reject(400, "too many headers".into())
@@ -1170,8 +1091,8 @@ fn write_response_with(
 // ---------------------------------------------------------------------
 // routing
 
-/// The canonical error body: `{"error":{"kind":…,"message":…}}`.
-pub(crate) fn error_body(e: &UxmError) -> String {
+/// The canonical error object: `{"error":{"kind":…,"message":…}}`.
+pub(crate) fn error_json(e: &UxmError) -> Json {
     Json::Obj(vec![(
         "error".into(),
         Json::Obj(vec![
@@ -1179,7 +1100,11 @@ pub(crate) fn error_body(e: &UxmError) -> String {
             ("message".into(), Json::str(e.to_string())),
         ]),
     )])
-    .to_string()
+}
+
+/// The canonical error body: [`error_json`], rendered.
+pub(crate) fn error_body(e: &UxmError) -> String {
+    error_json(e).to_string()
 }
 
 /// The HTTP status carrying `e`: bad inputs are the client's fault
@@ -1194,71 +1119,58 @@ pub(crate) fn status_for(e: &UxmError) -> u16 {
         | UxmError::Input(_)
         | UxmError::Internal(_)
         | UxmError::NoSnapshotDir => 500,
-        UxmError::Overloaded { .. } | UxmError::ShardUnavailable { .. } => 503,
+        UxmError::Overloaded { .. } => 503,
         _ => 400,
     }
 }
 
 /// Generic dispatch: the routes every server kind answers itself
 /// (`/healthz`, the debug panic hook), then the bound [`Handler`].
-fn route(shared: &Shared, client: Option<IpAddr>, request: &Request) -> (u16, String) {
+fn route(shared: &Shared, request: &Request) -> (u16, String) {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => (200, "{\"status\":\"ok\"}".into()),
         ("POST", "/debug/panic") if shared.config.debug_panic_route => {
             panic!("debug panic route")
         }
-        _ => shared
-            .handler
-            .handle(&shared.stats, &shared.config, client, request),
+        _ => shared.handler.handle(&shared.stats, request),
+    }
+}
+
+/// The typed answer to a request no route matched: 404 naming every
+/// route (`gets` lists the handler's `GET` routes), or 405 for a method
+/// no route takes.
+pub(crate) fn no_route(request: &Request, gets: &str) -> (u16, String) {
+    match request.method.as_str() {
+        "GET" | "POST" => {
+            let e = UxmError::Usage(format!(
+                "no route {} {} (POST /query/<engine>, POST /batch, POST /topk, \
+                 POST /aggregate, {gets})",
+                request.method, request.path
+            ));
+            (404, error_body(&e))
+        }
+        method => {
+            let e = UxmError::Usage(format!("method {method} not allowed"));
+            (405, error_body(&e))
+        }
     }
 }
 
 /// The single-registry routing behind [`Server::bind`]: every route of
 /// the module-level table over one [`EngineRegistry`].
-pub(crate) struct RegistryHandler {
-    pub(crate) registry: Arc<EngineRegistry>,
+struct RegistryHandler {
+    registry: Arc<EngineRegistry>,
 }
 
 impl Handler for RegistryHandler {
-    fn handle(
-        &self,
-        stats: &ServerStats,
-        _config: &ServerConfig,
-        _client: Option<IpAddr>,
-        request: &Request,
-    ) -> (u16, String) {
-        let done = |r: Result<String, UxmError>| match r {
-            Ok(body) => (200, body),
-            Err(e) => (status_for(&e), error_body(&e)),
-        };
+    fn handle(&self, stats: &ServerStats, request: &Request) -> (u16, String) {
+        if let Some(answer) = route_queries(&*self.registry, stats, request) {
+            return answer;
+        }
         match (request.method.as_str(), request.path.as_str()) {
             ("GET", "/engines") => (200, engines_body(&self.registry)),
             ("GET", "/stats") => (200, stats_body(&self.registry, stats)),
-            ("POST", "/batch") => done(handle_batch(&self.registry, stats, &request.body)),
-            ("POST", "/topk") => done(crate::router::topk_over_registry(
-                &self.registry,
-                &request.body,
-            )),
-            ("POST", "/aggregate") => done(crate::router::aggregate_over_registry(
-                &self.registry,
-                &request.body,
-            )),
-            ("POST", path) if path.starts_with("/query/") => {
-                let name = &path["/query/".len()..];
-                done(handle_query(&self.registry, stats, name, &request.body))
-            }
-            ("GET" | "POST", _) => {
-                let e = UxmError::Usage(format!(
-                    "no route {} {} (POST /query/<engine>, POST /batch, POST /topk, \
-                     POST /aggregate, GET /engines|/stats|/healthz)",
-                    request.method, request.path
-                ));
-                (404, error_body(&e))
-            }
-            (method, _) => {
-                let e = UxmError::Usage(format!("method {method} not allowed"));
-                (405, error_body(&e))
-            }
+            _ => no_route(request, "GET /engines|/stats|/healthz"),
         }
     }
 }
@@ -1274,7 +1186,7 @@ impl Handler for RegistryHandler {
 /// envelope option, not part of the query wire format — which adds an
 /// `"explain"` object (plan, planner inputs, compiled program listing;
 /// see [`crate::exec::Explain`]) to the response.
-fn handle_query(
+pub(crate) fn handle_query(
     registry: &EngineRegistry,
     stats: &ServerStats,
     name: &str,
@@ -1315,47 +1227,6 @@ fn handle_query(
     // Keys stay alphabetical: answers < explain < stats.
     members.insert(1, ("explain".into(), explanation.to_json()));
     Ok(Json::Obj(members).to_string())
-}
-
-/// `POST /batch`: a JSON array of `{"engine":…,"query":…}` objects in,
-/// `{"results":[…]}` out — per entry either a response object or an
-/// `{"error":…}` object, in request order (exactly what
-/// [`EngineRegistry::batch`] returns).
-fn handle_batch(
-    registry: &EngineRegistry,
-    stats: &ServerStats,
-    body: &str,
-) -> Result<String, UxmError> {
-    let parsed = Json::parse(body)?;
-    let items = parsed
-        .as_arr()
-        .ok_or_else(|| UxmError::Json("batch body must be a JSON array".into()))?;
-    let queries = items
-        .iter()
-        .map(BatchQuery::from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    let answers = registry.batch(&queries);
-    let results = queries
-        .iter()
-        .zip(&answers)
-        .map(|(q, outcome)| {
-            // Unknown-engine failures stay server-level (see ServerStats).
-            if !matches!(outcome, Err(UxmError::UnknownEngine(_))) {
-                stats.record(&q.engine, outcome);
-            }
-            match outcome {
-                Ok(response) => response.to_json(),
-                Err(e) => Json::Obj(vec![(
-                    "error".into(),
-                    Json::Obj(vec![
-                        ("kind".into(), Json::str(e.kind())),
-                        ("message".into(), Json::str(e.to_string())),
-                    ]),
-                )]),
-            }
-        })
-        .collect();
-    Ok(Json::Obj(vec![("results".into(), Json::Arr(results))]).to_string())
 }
 
 /// `GET /engines`: resident engines with sizes, plus what could be
@@ -1405,6 +1276,17 @@ fn engines_body(registry: &EngineRegistry) -> String {
 /// `hydrate_p50_us` / `hydrate_max_us` wall times, and a per-engine
 /// `engines` object (`last_us`, `count`, on-disk `snapshot_version`).
 fn stats_body(registry: &EngineRegistry, stats: &ServerStats) -> String {
+    let Json::Obj(mut members) = stats.to_json() else {
+        unreachable!("ServerStats::to_json is an object");
+    };
+    // Keys stay alphabetical: engines < registry < server.
+    members.insert(1, ("registry".into(), registry_json(registry)));
+    Json::Obj(members).to_string()
+}
+
+/// The `"registry"` section of `GET /stats` for one registry — also
+/// each shard's entry in the router's `GET /stats`.
+pub(crate) fn registry_json(registry: &EngineRegistry) -> Json {
     let r = registry.stats();
     let hydrated: Vec<(String, Json)> = registry
         .hydration_stats()
@@ -1420,7 +1302,7 @@ fn stats_body(registry: &EngineRegistry, stats: &ServerStats) -> String {
             )
         })
         .collect();
-    let registry_section = Json::Obj(vec![
+    Json::Obj(vec![
         ("engines".into(), Json::Obj(hydrated)),
         ("evictions".into(), Json::uint(r.evictions)),
         ("hydrate_max_us".into(), Json::uint(r.hydrate_max_us)),
@@ -1440,13 +1322,7 @@ fn stats_body(registry: &EngineRegistry, stats: &ServerStats) -> String {
             "unreclaimed_bytes".into(),
             Json::uint(r.unreclaimed_bytes as u64),
         ),
-    ]);
-    let Json::Obj(mut members) = stats.to_json() else {
-        unreachable!("ServerStats::to_json is an object");
-    };
-    // Keys stay alphabetical: engines < registry < server.
-    members.insert(1, ("registry".into(), registry_section));
-    Json::Obj(members).to_string()
+    ])
 }
 
 // ---------------------------------------------------------------------
@@ -1458,7 +1334,6 @@ fn stats_body(registry: &EngineRegistry, stats: &ServerStats) -> String {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    forward: Option<IpAddr>,
 }
 
 impl Client {
@@ -1477,18 +1352,7 @@ impl Client {
         Ok(Client {
             reader,
             writer: stream,
-            forward: None,
         })
-    }
-
-    /// Sets (or clears) the client identity to forward as an
-    /// `x-uxm-client` header on every subsequent request. Servers
-    /// ignore the header unless they run with
-    /// [`ServerConfig::trust_forwarded_client`]; the router sets it on
-    /// its internal hop so shard-side per-client 429s bind to the real
-    /// client rather than the loopback hop.
-    pub fn set_forward_client(&mut self, ip: Option<IpAddr>) {
-        self.forward = ip;
     }
 
     /// Replaces the per-read deadline (default 30 s from
@@ -1533,12 +1397,8 @@ impl Client {
     ) -> Result<(u16, String), UxmError> {
         let io = |e: std::io::Error| UxmError::io(format!("{method} {path}"), e);
         let body = body.unwrap_or("");
-        let forward = match self.forward {
-            Some(ip) => format!("x-uxm-client: {ip}\r\n"),
-            None => String::new(),
-        };
         let head = format!(
-            "{method} {path} HTTP/1.1\r\nhost: uxm\r\n{forward}content-length: {}\r\n\r\n",
+            "{method} {path} HTTP/1.1\r\nhost: uxm\r\ncontent-length: {}\r\n\r\n",
             body.len()
         );
         self.writer.write_all(head.as_bytes()).map_err(io)?;

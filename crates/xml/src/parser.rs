@@ -7,10 +7,18 @@
 //!
 //! It is *not* a general-purpose conformant parser (no DTDs, no CDATA, no
 //! namespaces-aware processing — prefixes are kept as part of the label).
+//! Elements nest at most [`MAX_DEPTH`] levels deep.
 
 use crate::document::{Document, DocumentBuilder};
 use crate::ids::DocNodeId;
 use std::fmt;
+
+/// How deep elements may nest, the root counting as level 1; deeper
+/// input is [`ParseError::TooDeep`]. The parser itself keeps open
+/// elements on the heap, but code that walks a document (the XML
+/// writer, for one) recurses per level, so a hostile document (say,
+/// 140 KB of `<a>`) must not get that deep.
+pub const MAX_DEPTH: usize = 1024;
 
 /// Errors produced by [`parse_document`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -29,6 +37,9 @@ pub enum ParseError {
     TrailingContent,
     /// Malformed tag or entity at the given byte offset.
     Malformed { offset: usize, what: &'static str },
+    /// An element opened at the given byte offset would nest deeper
+    /// than [`MAX_DEPTH`] levels.
+    TooDeep { offset: usize },
 }
 
 impl fmt::Display for ParseError {
@@ -47,6 +58,12 @@ impl fmt::Display for ParseError {
             ParseError::TrailingContent => write!(f, "content after root element"),
             ParseError::Malformed { offset, what } => {
                 write!(f, "malformed {what} at byte {offset}")
+            }
+            ParseError::TooDeep { offset } => {
+                write!(
+                    f,
+                    "elements nested deeper than {MAX_DEPTH} levels at byte {offset}"
+                )
             }
         }
     }
@@ -91,7 +108,7 @@ impl<'a> Parser<'a> {
             return Ok(builder.finish());
         }
         let root = builder.root();
-        self.parse_content(&mut builder, root, &root_label)?;
+        self.parse_content(&mut builder, root, root_label)?;
         self.skip_misc();
         if self.pos < self.input.len() {
             return Err(ParseError::TrailingContent);
@@ -99,45 +116,48 @@ impl<'a> Parser<'a> {
         Ok(builder.finish())
     }
 
-    /// Consumes everything inside an open element until its matching close
-    /// tag (which is also consumed).
+    /// Consumes everything inside the root element until its matching
+    /// close tag (which is also consumed). Iterative: `open` holds one
+    /// `(node, label, text)` entry per open element, so nesting costs
+    /// heap, not stack, and is bounded by [`MAX_DEPTH`].
     fn parse_content(
         &mut self,
         builder: &mut DocumentBuilder,
-        node: DocNodeId,
-        label: &str,
+        root: DocNodeId,
+        root_label: String,
     ) -> Result<(), ParseError> {
-        let mut text = String::new();
-        loop {
+        let mut open = vec![(root, root_label, String::new())];
+        while let Some((node, label, text)) = open.last_mut() {
             match self.peek() {
-                None => return Err(ParseError::UnclosedElement(label.to_string())),
+                None => return Err(ParseError::UnclosedElement(label.clone())),
+                Some(b'<') if self.starts_with("<!--") => self.skip_comment()?,
+                Some(b'<') if self.starts_with("<?") => self.skip_pi()?,
+                Some(b'<') if self.starts_with("</") => {
+                    let close = self.read_close_tag()?;
+                    if close != *label {
+                        return Err(ParseError::MismatchedClose {
+                            expected: label.clone(),
+                            found: close,
+                        });
+                    }
+                    let trimmed = text.trim();
+                    if !trimmed.is_empty() {
+                        builder.append_text(*node, trimmed);
+                    }
+                    open.pop();
+                }
                 Some(b'<') => {
-                    if self.starts_with("<!--") {
-                        self.skip_comment()?;
-                    } else if self.starts_with("<?") {
-                        self.skip_pi()?;
-                    } else if self.starts_with("</") {
-                        let close = self.read_close_tag()?;
-                        if close != label {
-                            return Err(ParseError::MismatchedClose {
-                                expected: label.to_string(),
-                                found: close,
-                            });
-                        }
-                        let trimmed = text.trim();
-                        if !trimmed.is_empty() {
-                            builder.append_text(node, trimmed);
-                        }
-                        return Ok(());
-                    } else {
-                        let (child_label, attrs, self_closing) = self.read_open_tag()?;
-                        let child = builder.add_child(node, &child_label);
-                        for (n, v) in attrs {
-                            builder.add_attr(child, n, v);
-                        }
-                        if !self_closing {
-                            self.parse_content(builder, child, &child_label)?;
-                        }
+                    let parent = *node;
+                    if open.len() == MAX_DEPTH {
+                        return Err(ParseError::TooDeep { offset: self.pos });
+                    }
+                    let (child_label, attrs, self_closing) = self.read_open_tag()?;
+                    let child = builder.add_child(parent, &child_label);
+                    for (n, v) in attrs {
+                        builder.add_attr(child, n, v);
+                    }
+                    if !self_closing {
+                        open.push((child, child_label, String::new()));
                     }
                 }
                 Some(_) => {
@@ -146,6 +166,7 @@ impl<'a> Parser<'a> {
                 }
             }
         }
+        Ok(())
     }
 
     fn peek(&self) -> Option<u8> {
@@ -486,6 +507,43 @@ mod tests {
         // "</b>" inside <a> is reported as a mismatched close.
         let err = parse_document("<a></b>").unwrap_err();
         assert!(matches!(err, ParseError::MismatchedClose { .. }));
+    }
+
+    #[test]
+    fn nesting_is_bounded_on_a_default_stack() {
+        let nested = |levels: usize| format!("{}{}", "<a>".repeat(levels), "</a>".repeat(levels));
+        // A default-size thread stack: 20 000 levels used to overflow it
+        // and abort the process.
+        std::thread::spawn(move || {
+            let at_limit = parse_document(&nested(MAX_DEPTH)).unwrap();
+            assert_eq!(at_limit.len(), MAX_DEPTH);
+            let deeper = parse_document(&nested(MAX_DEPTH + 1)).unwrap_err();
+            assert_eq!(
+                deeper,
+                ParseError::TooDeep {
+                    offset: 3 * MAX_DEPTH
+                }
+            );
+            let bomb = parse_document(&nested(20_000)).unwrap_err();
+            assert_eq!(
+                bomb,
+                ParseError::TooDeep {
+                    offset: 3 * MAX_DEPTH
+                }
+            );
+            // A self-closing element one level too deep is refused too.
+            let leaf = format!(
+                "{}<b/>{}",
+                "<a>".repeat(MAX_DEPTH),
+                "</a>".repeat(MAX_DEPTH)
+            );
+            assert!(matches!(
+                parse_document(&leaf),
+                Err(ParseError::TooDeep { .. })
+            ));
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -772,6 +772,8 @@ fn cmd_serve(args: &[String]) -> Result<(), UxmError> {
     if shards > 0 {
         // Sharded: N registries behind the consistent-hash router. The
         // budget is the cluster total — each shard gets an even split.
+        // `shard_server` configures each shard's direct port, which the
+        // router itself never calls.
         let router = Router::start(
             dir,
             RouterConfig {
@@ -792,7 +794,7 @@ fn cmd_serve(args: &[String]) -> Result<(), UxmError> {
         let snapshots = router.known_names();
         banner(local, &snapshots, &format!(", {shards} shard(s)"));
         for (id, shard_addr) in router.shard_addrs() {
-            println!("  shard {id} on {shard_addr}");
+            println!("  shard {id} direct port on {shard_addr}");
         }
         println!(
             "routes: POST /query/<engine>  POST /batch  POST /topk  POST /aggregate  GET /engines  GET /stats  GET /shards  GET /healthz"

@@ -1,29 +1,29 @@
-//! Router-layer behavior the differential harness can't see: per-client
-//! fairness across the internal hop, and rebalancing under live
-//! traffic.
+//! Router-layer behavior the differential harness can't see: no stall
+//! behind a small shard, and rebalancing under live traffic.
 //!
-//! * **Forwarded identity** — behind the router every shard-bound TCP
-//!   connection's peer is the router itself on loopback, so shard-side
-//!   per-client caps would bind to the hop, not the client. Shard
-//!   servers therefore run with `trust_forwarded_client` and key
-//!   admission on the `x-uxm-client` header the router forwards; these
-//!   tests pin that at socket level (trusted rebinding, untrusted
-//!   indifference, and 429 propagation through the front).
+//! * **No stall** — the router calls its shard registries directly, so
+//!   a shard's own server (its direct port) has no say in how many
+//!   front requests run at once. A shard server with one worker used
+//!   to stall routed requests for a whole keep-alive timeout while an
+//!   idle pooled router connection held that worker.
 //! * **Rebalancing** — shard add/remove mid-traffic must keep every
-//!   engine reachable (the shared snapshot directory means any shard
-//!   can hydrate any engine, so there is no 404 window), and the
-//!   router must still match a single registry at the new ring size.
+//!   engine reachable through `/query`, `/batch` and `/topk` alike (the
+//!   shared snapshot directory means any shard can hydrate any engine,
+//!   so there is no 404 window), the fan-out answers must stay correct
+//!   across the ring swap, and the router must still match a single
+//!   registry at the new ring size.
 
-use std::net::IpAddr;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use uxm::core::api::Query;
 use uxm::core::block_tree::BlockTreeConfig;
 use uxm::core::engine::QueryEngine;
 use uxm::core::json::Json;
 use uxm::core::mapping::PossibleMappings;
-use uxm::core::registry::EngineRegistry;
+use uxm::core::registry::{BatchQuery, EngineRegistry};
 use uxm::core::router::{Router, RouterConfig};
 use uxm::core::server::{Client, Server, ServerConfig};
 use uxm::matching::Matcher;
@@ -45,234 +45,30 @@ fn small_engine(seed: u64) -> QueryEngine {
     QueryEngine::build(pm, doc, &BlockTreeConfig::default())
 }
 
-fn ip(s: &str) -> Option<IpAddr> {
-    Some(s.parse().unwrap())
-}
-
 const QUERY_PATTERN: &str = "PO//Qty";
 
 fn ptq() -> Query {
     Query::ptq(TwigPattern::parse(QUERY_PATTERN).unwrap())
 }
 
-/// A trusted server keys its per-client cap on the forwarded identity,
-/// re-bound per request: the same connection can switch identities
-/// (releasing the old slot), a second connection claiming a full
-/// identity is refused with a 429 naming the real client, and a
-/// different identity passes.
-#[test]
-fn trusted_server_caps_on_forwarded_identity() {
-    let registry = Arc::new(EngineRegistry::new());
-    registry.insert("po", small_engine(7));
-    let handle = Server::bind(
-        registry,
-        "127.0.0.1:0",
-        ServerConfig {
-            workers: 2,
-            max_conns_per_client: 1,
-            trust_forwarded_client: true,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap()
-    .start();
-    let addr = handle.addr();
-
-    // First connection binds identity 10.0.0.1.
-    let mut a = Client::connect(addr).unwrap();
-    a.set_forward_client(ip("10.0.0.1"));
-    let (status, _) = a.query("po", &ptq()).unwrap();
-    assert_eq!(status, 200);
-
-    // A second connection claiming the same identity is refused — and
-    // the refusal names the forwarded client, not the loopback peer.
-    let mut b = Client::connect(addr).unwrap();
-    b.set_forward_client(ip("10.0.0.1"));
-    let (status, body) = b.query("po", &ptq()).unwrap();
-    assert_eq!(status, 429, "{body}");
-    assert!(body.contains("\"kind\":\"rate-limited\""), "{body}");
-    assert!(
-        body.contains("10.0.0.1"),
-        "refusal must name the client: {body}"
-    );
-
-    // A different identity has its own slot.
-    let mut c = Client::connect(addr).unwrap();
-    c.set_forward_client(ip("10.0.0.2"));
-    let (status, _) = c.query("po", &ptq()).unwrap();
-    assert_eq!(status, 200);
-
-    // The first connection keeps serving, and re-binding it to a new
-    // identity releases the old slot for others.
-    a.set_forward_client(ip("10.0.0.3"));
-    let (status, _) = a.query("po", &ptq()).unwrap();
-    assert_eq!(status, 200);
-    let mut d = Client::connect(addr).unwrap();
-    d.set_forward_client(ip("10.0.0.1"));
-    let (status, body) = d.query("po", &ptq()).unwrap();
-    assert_eq!(status, 200, "released identity must be claimable: {body}");
-
-    handle.shutdown();
+/// Snapshots `names` (engine `i` built from seed `i`) into a fresh
+/// directory tagged `tag`.
+fn seed_snapshots(tag: &str, names: &[String]) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("uxm-shard-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let registry = EngineRegistry::new().snapshot_dir(&dir);
+    for (i, name) in names.iter().enumerate() {
+        registry.insert(name.clone(), small_engine(i as u64));
+    }
+    registry.save_all().unwrap();
+    dir
 }
 
-/// An untrusted (default) server ignores the header entirely: the cap
-/// keys on the TCP peer, so spoofed identities neither escape nor
-/// consume per-identity slots.
-#[test]
-fn untrusted_server_ignores_forwarded_identity() {
-    let registry = Arc::new(EngineRegistry::new());
-    registry.insert("po", small_engine(7));
-    let handle = Server::bind(
-        registry,
-        "127.0.0.1:0",
-        ServerConfig {
-            workers: 2,
-            max_conns_per_client: 2,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap()
-    .start();
-    let addr = handle.addr();
-
-    // Two loopback connections claiming distinct forwarded identities
-    // still count against the one real peer…
-    let mut a = Client::connect(addr).unwrap();
-    a.set_forward_client(ip("10.0.0.1"));
-    assert_eq!(a.query("po", &ptq()).unwrap().0, 200);
-    let mut b = Client::connect(addr).unwrap();
-    b.set_forward_client(ip("10.0.0.2"));
-    assert_eq!(b.query("po", &ptq()).unwrap().0, 200);
-
-    // …so the third loopback connection is shed at accept time no
-    // matter what identity it claims.
-    let mut c = Client::connect(addr).unwrap();
-    c.set_forward_client(ip("10.0.0.3"));
-    let outcome = c.query("po", &ptq());
-    match outcome {
-        Ok((status, body)) => {
-            assert_eq!(status, 429, "{body}");
-            assert!(body.contains("\"kind\":\"rate-limited\""), "{body}");
-        }
-        // The accept-time shed closes the connection; depending on
-        // timing the client may see the reset before the 429 body.
-        Err(e) => assert!(e.to_string().contains("i/o") || !e.to_string().is_empty()),
-    }
-    handle.shutdown();
-}
-
-/// The router forwards each front client's identity on the internal
-/// hop: when that identity's slot on the owning shard is already held
-/// (here, by a direct connection claiming loopback), the shard's typed
-/// 429 — naming the real client — propagates through the front.
-#[test]
-fn router_forwards_client_identity_to_shards() {
-    let dir = std::env::temp_dir().join(format!("uxm-shard-fwd-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    {
-        let registry = EngineRegistry::new().snapshot_dir(&dir);
-        for i in 0..4 {
-            registry.insert(format!("e{i}"), small_engine(i));
-        }
-        registry.save_all().unwrap();
-    }
-    let router = Router::start(
-        &dir,
-        RouterConfig {
-            shards: 2,
-            shard_server: ServerConfig {
-                workers: 2,
-                max_conns_per_client: 1,
-                ..ServerConfig::default()
-            },
-            ..RouterConfig::default()
-        },
-    )
-    .unwrap();
-    let front = router
-        .bind(
-            "127.0.0.1:0",
-            ServerConfig {
-                workers: 2,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap()
-        .start();
-
-    // Pick any engine and find its owning shard's direct address.
-    let engine = "e0";
-    let owner = router.owner(engine);
-    let shard_addr = router
-        .shard_addrs()
-        .into_iter()
-        .find(|(id, _)| *id == owner)
-        .map(|(_, addr)| addr)
-        .unwrap();
-
-    // Hold the front clients' identity (loopback) directly on the
-    // owning shard. Shard servers trust the header, so this binds
-    // 127.0.0.1's one slot. The connection must stay open.
-    let mut holder = Client::connect(shard_addr).unwrap();
-    holder.set_forward_client(ip("127.0.0.1"));
-    let (status, _) = holder.query(engine, &ptq()).unwrap();
-    assert_eq!(status, 200);
-
-    // Through the front, the same identity is now over its cap on that
-    // shard — the shard's 429 comes back verbatim, naming the client.
-    let mut fc = Client::connect(front.addr()).unwrap();
-    let (status, body) = fc.query(engine, &ptq()).unwrap();
-    assert_eq!(status, 429, "{body}");
-    assert!(body.contains("\"kind\":\"rate-limited\""), "{body}");
-    assert!(body.contains("127.0.0.1"), "{body}");
-
-    // A different identity was never the problem: release the slot and
-    // the same front client passes.
-    drop(holder);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    loop {
-        let (status, body) = fc.query(engine, &ptq()).unwrap();
-        if status == 200 {
-            break;
-        }
-        assert_eq!(status, 429, "{body}");
-        assert!(
-            std::time::Instant::now() < deadline,
-            "slot never released: {body}"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
-
-    front.shutdown();
-    router.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Shard add/remove under live traffic: every engine stays reachable
-/// throughout (no 404/503 window — any shard can hydrate any engine
-/// from the shared snapshot directory, and requests racing a removal
-/// are retried against the fresh ring), and afterwards the router
-/// still matches a single registry at the new ring size.
-#[test]
-fn rebalance_mid_traffic_keeps_every_engine_reachable() {
-    let dir = std::env::temp_dir().join(format!("uxm-shard-rebal-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let names: Vec<String> = (0..8).map(|i| format!("e{i}")).collect();
-    {
-        let registry = EngineRegistry::new().snapshot_dir(&dir);
-        for (i, name) in names.iter().enumerate() {
-            registry.insert(name.clone(), small_engine(i as u64));
-        }
-        registry.save_all().unwrap();
-    }
-    let router = Router::start(
-        &dir,
-        RouterConfig {
-            shards: 2,
-            ..RouterConfig::default()
-        },
-    )
-    .unwrap();
+fn start_router(
+    dir: &Path,
+    config: RouterConfig,
+) -> (Arc<Router>, uxm::core::server::ServerHandle) {
+    let router = Router::start(dir, config).unwrap();
     let front = router
         .bind(
             "127.0.0.1:0",
@@ -283,59 +79,101 @@ fn rebalance_mid_traffic_keeps_every_engine_reachable() {
         )
         .unwrap()
         .start();
-    let addr = front.addr();
-    let first_id = router.shard_ids()[0];
+    (router, front)
+}
 
-    // Hammer every engine round-robin from three clients while the
-    // ring is reshaped underneath them; any non-200 is a reachability
-    // hole.
-    let stop = Arc::new(AtomicBool::new(false));
-    let traffic: Vec<_> = (0..3)
+/// The `answers` subtree of a response body, re-rendered canonically.
+fn answers(body: &str) -> String {
+    Json::parse(body)
+        .unwrap()
+        .get("answers")
+        .map(|a| a.to_string())
+        .unwrap_or_default()
+}
+
+/// The per-item `answers` subtrees of a `/batch` response body.
+fn batch_answers(body: &str) -> Vec<String> {
+    Json::parse(body)
+        .unwrap()
+        .get("results")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .map(|item| {
+            item.get("answers")
+                .map(|a| a.to_string())
+                .unwrap_or_default()
+        })
+        .collect()
+}
+
+/// A 1-shard router whose shard server runs a single worker, under
+/// three concurrent keep-alive clients: every request answers 200
+/// well inside a 2 s read deadline. Routed requests never queue
+/// behind the shard's worker pool — the front calls the registry
+/// directly.
+#[test]
+fn one_worker_shard_serves_concurrent_clients_without_stalling() {
+    let names: Vec<String> = (0..4).map(|i| format!("e{i}")).collect();
+    let dir = seed_snapshots("stall", &names);
+    let (router, front) = start_router(
+        &dir,
+        RouterConfig {
+            shards: 1,
+            shard_server: ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+            ..RouterConfig::default()
+        },
+    );
+    let addr = front.addr();
+    let clients: Vec<_> = (0..3)
         .map(|t| {
-            let stop = Arc::clone(&stop);
             let names = names.clone();
-            std::thread::spawn(move || -> Result<u64, String> {
-                let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
+            std::thread::spawn(move || -> Result<(), String> {
+                let mut client = Client::connect(addr)
+                    .and_then(|c| c.read_timeout(Duration::from_secs(2)))
+                    .map_err(|e| e.to_string())?;
                 let query = ptq();
-                let mut served = 0u64;
-                let mut i = t; // offset the threads
-                while !stop.load(Ordering::Relaxed) {
-                    let name = &names[i % names.len()];
-                    i += 1;
-                    let (status, body) = client.query(name, &query).map_err(|e| e.to_string())?;
+                for i in 0..200 {
+                    let name = &names[(t + i) % names.len()];
+                    let (status, body) = client
+                        .query(name, &query)
+                        .map_err(|e| format!("request {i} of client {t}: {e}"))?;
                     if status != 200 {
                         return Err(format!("{name} answered {status}: {body}"));
                     }
-                    served += 1;
                 }
-                Ok(served)
+                Ok(())
             })
         })
         .collect();
-
-    // Grow to 3 shards, shrink back to 2 (dropping an original shard),
-    // with traffic in flight around both reshapes.
-    std::thread::sleep(std::time::Duration::from_millis(300));
-    let added = router.add_shard().expect("add shard");
-    assert_eq!(router.shard_count(), 3);
-    std::thread::sleep(std::time::Duration::from_millis(400));
-    router.remove_shard(first_id).expect("remove shard");
-    assert_eq!(router.shard_count(), 2);
-    assert!(router.shard_ids().contains(&added));
-    std::thread::sleep(std::time::Duration::from_millis(400));
-
-    stop.store(true, Ordering::Relaxed);
-    let mut total = 0;
-    for t in traffic {
-        total += t.join().unwrap().expect("traffic thread saw a failure");
+    for client in clients {
+        client
+            .join()
+            .unwrap()
+            .expect("a routed request stalled or failed");
     }
-    assert!(total > 0, "traffic threads never ran");
+    front.shutdown();
+    router.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
-    // At the new ring size the router still matches a single registry
-    // byte-exactly on the answers subtree.
-    let single_registry = Arc::new(EngineRegistry::new().snapshot_dir(&dir));
+/// Shard add/remove under live `/query`, `/batch` and `/topk` traffic:
+/// every engine stays reachable throughout (no 404/503 window — any
+/// shard can hydrate any engine from the shared snapshot directory,
+/// and a request racing the ring swap finishes on the registry it was
+/// routed to), every answer matches a single registry's, and afterwards
+/// the router still matches a single registry at the new ring size.
+#[test]
+fn rebalance_mid_traffic_keeps_every_engine_reachable() {
+    let names: Vec<String> = (0..8).map(|i| format!("e{i}")).collect();
+    let dir = seed_snapshots("rebal", &names);
+
+    // The reference answers: one registry over the same snapshots.
     let single = Server::bind(
-        single_registry,
+        Arc::new(EngineRegistry::new().snapshot_dir(&dir)),
         "127.0.0.1:0",
         ServerConfig {
             workers: 2,
@@ -345,23 +183,114 @@ fn rebalance_mid_traffic_keeps_every_engine_reachable() {
     .unwrap()
     .start();
     let mut sc = Client::connect(single.addr()).unwrap();
+    // Every engine in one batch, so its items span every shard.
+    let batch: Vec<BatchQuery> = names
+        .iter()
+        .map(|n| BatchQuery::new(n.as_str(), ptq()))
+        .collect();
+    let topk_body = Json::Obj(vec![(
+        "query".into(),
+        Query::topk(TwigPattern::parse(QUERY_PATTERN).unwrap(), 5).to_json(),
+    )])
+    .to_string();
+    let expected_query: Vec<String> = names
+        .iter()
+        .map(|n| answers(&sc.query(n, &ptq()).unwrap().1))
+        .collect();
+    let (status, body) = sc.batch(&batch).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let expected_batch = batch_answers(&body);
+    let (status, expected_topk) = sc.post("/topk", &topk_body).unwrap();
+    assert_eq!(status, 200, "{expected_topk}");
+
+    let (router, front) = start_router(
+        &dir,
+        RouterConfig {
+            shards: 2,
+            ..RouterConfig::default()
+        },
+    );
+    let addr = front.addr();
+    let first_id = router.shard_ids()[0];
+
+    // Hammer every engine from three clients while the ring is
+    // reshaped underneath them: mostly `/query` round-robin, with
+    // every fourth request a `/batch` over all engines and every
+    // fourth a `/topk` over all engines. Any non-200 is a
+    // reachability hole; any answer unlike the single registry's is a
+    // fan-out that lost or misplaced a part across the swap.
+    let stop = Arc::new(AtomicBool::new(false));
+    let traffic: Vec<_> = (0..3)
+        .map(|t| {
+            let stop = Arc::clone(&stop);
+            let names = names.clone();
+            let batch = batch.clone();
+            let topk_body = topk_body.clone();
+            let expected_query = expected_query.clone();
+            let expected_batch = expected_batch.clone();
+            let expected_topk = expected_topk.clone();
+            std::thread::spawn(move || -> Result<[u64; 3], String> {
+                let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
+                let query = ptq();
+                let mut served = [0u64; 3];
+                let mut i = t; // offset the threads
+                while !stop.load(Ordering::Relaxed) {
+                    i += 1;
+                    let (what, outcome) = match i % 4 {
+                        0 => ("batch", client.batch(&batch)),
+                        1 => ("topk", client.post("/topk", &topk_body)),
+                        _ => ("query", client.query(&names[i % names.len()], &query)),
+                    };
+                    let (status, body) = outcome.map_err(|e| format!("{what}: {e}"))?;
+                    if status != 200 {
+                        return Err(format!("{what} answered {status}: {body}"));
+                    }
+                    let (slot, correct) = match what {
+                        "batch" => (0, batch_answers(&body) == expected_batch),
+                        "topk" => (1, body == expected_topk),
+                        _ => (2, answers(&body) == expected_query[i % names.len()]),
+                    };
+                    if !correct {
+                        return Err(format!("{what} diverged from the single registry: {body}"));
+                    }
+                    served[slot] += 1;
+                }
+                Ok(served)
+            })
+        })
+        .collect();
+
+    // Grow to 3 shards, shrink back to 2 (dropping an original shard),
+    // with traffic in flight around both reshapes.
+    std::thread::sleep(Duration::from_millis(300));
+    let added = router.add_shard().expect("add shard");
+    assert_eq!(router.shard_count(), 3);
+    std::thread::sleep(Duration::from_millis(400));
+    router.remove_shard(first_id).expect("remove shard");
+    assert_eq!(router.shard_count(), 2);
+    assert!(router.shard_ids().contains(&added));
+    std::thread::sleep(Duration::from_millis(400));
+
+    stop.store(true, Ordering::Relaxed);
+    let mut total = [0u64; 3];
+    for t in traffic {
+        let served = t.join().unwrap().expect("traffic thread saw a failure");
+        for (sum, n) in total.iter_mut().zip(served) {
+            *sum += n;
+        }
+    }
+    assert!(
+        total.iter().all(|&n| n > 0),
+        "every request kind must have run: {total:?} (batch, topk, query)"
+    );
+
+    // At the new ring size the router still matches a single registry
+    // byte-exactly on the answers subtree.
     let mut rc = Client::connect(addr).unwrap();
-    let answers = |body: &str| {
-        Json::parse(body)
-            .unwrap()
-            .get("answers")
-            .map(|a| a.to_string())
-            .unwrap_or_default()
-    };
-    for name in &names {
-        let (s_status, s_body) = sc.query(name, &ptq()).unwrap();
-        let (r_status, r_body) = rc.query(name, &ptq()).unwrap();
-        assert_eq!((s_status, r_status), (200, 200), "{name}");
-        assert_eq!(
-            answers(&s_body),
-            answers(&r_body),
-            "{name} diverges post-rebalance"
-        );
+    for (name, expected) in names.iter().zip(&expected_query) {
+        let (status, body) = rc.query(name, &ptq()).unwrap();
+        assert_eq!(status, 200, "{name}");
+        assert_eq!(&answers(&body), expected, "{name} diverges post-rebalance");
     }
 
     single.shutdown();
